@@ -1,7 +1,7 @@
 """Check the cost-model calibration against every §4 relative claim.
 
-Reads the cached bench-tier profile grid (no Spark needed once the
-cache exists — run any metrics job/benchmark first) and prints a
+Builds the bench-tier run tables from the shared profile grid (Spark
+profiles only the cells missing from the cache) and prints a
 claim-by-claim scorecard:
 
   C1  PR  : CommCost is the top time correlate (paper 95/96 %)
@@ -17,53 +17,25 @@ Usage: python jobs/calibrate_sim.py [--tier bench]
 """
 import argparse
 
-import pandas as pd
+from _common import get_spark
 
 from repro.core.correlate import metric_time_correlations
-from repro.experiments.tables import _cache_path, _load_profile, _sssp_diameter
-from repro.graph.partitioners import PAPER_STRATEGIES
-from repro.graphgen.datasets import BIG_DATASETS, DATASET_ORDER, SSSP_EXCLUDED
-from repro.simcluster.cost_model import ClusterSpec, simulate
-
-
-def load_grid(tier: str):
-    grid = {}
-    for d in DATASET_ORDER:
-        for s in PAPER_STRATEGIES:
-            for n in (128, 256):
-                p = _cache_path(d, tier, s, n)
-                if p.exists():
-                    grid[(d, s, n)] = _load_profile(p)
-    return grid
-
-
-def runs_frame(grid, algo, spec=ClusterSpec()):
-    rows = []
-    for (d, s, n), prof in grid.items():
-        if algo == "sssp" and d in SSSP_EXCLUDED:
-            continue
-        m = prof.metrics
-        rows.append(
-            dict(
-                dataset=d, strategy=s, n_parts=n,
-                time=simulate(algo, prof, spec, n_iter=10, diameter=_sssp_diameter(d)),
-                balance=m.balance, non_cut=m.non_cut, cut=m.cut,
-                comm_cost=m.comm_cost, part_stdev=m.part_stdev,
-            )
-        )
-    return pd.DataFrame(rows)
+from repro.experiments.tables import infra_table, runtime_table
+from repro.graphgen.datasets import BIG_DATASETS
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--tier", default="bench")
     args = ap.parse_args()
-    grid = load_grid(args.tier)
-    if not grid:
-        raise SystemExit("no cached profiles — run a metrics job first")
+    spark = get_spark("calibrate_sim")
+    runs = {algo: runtime_table(spark, algo, tier=args.tier) for algo in ("pr", "cc", "tr", "sssp")}
+    # Simulated PR times under infra configs (ii), (iii), (iv), in that order.
+    t_ii, t_iii, t_iv = infra_table(spark, tier=args.tier)["time"]
+    spark.stop()
 
     def corr(algo):
-        r = runs_frame(grid, algo)
+        r = runs[algo]
         return {
             n: metric_time_correlations(r[r.n_parts == n])
             for n in sorted(r.n_parts.unique())
@@ -98,7 +70,7 @@ def main() -> None:
     )
 
     def fine_speedup(algo):
-        r = runs_frame(grid, algo)
+        r = runs[algo]
         b = r.groupby(["dataset", "n_parts"])["time"].min().unstack()
         return ((b[128] - b[256]) / b[128] * 100).round(1)
 
@@ -128,11 +100,6 @@ def main() -> None:
     ok["C7"] = (sp_tr[list(BIG_DATASETS)] > -5.0).all() and sp_tr.max() > 0
     print(f"C7 tr   fine-grain speedup % {sp_tr.to_dict()}  {'OK' if ok['C7'] else 'FAIL'}")
 
-    prof = grid[("follow-dec", "2D", 256)]
-    base = ClusterSpec()
-    t_ii = simulate("pr", prof, base, n_iter=10)
-    t_iii = simulate("pr", prof, base.with_infra(net_gbps=40.0), n_iter=10)
-    t_iv = simulate("pr", prof, base.with_infra(net_gbps=40.0, ssd=True), n_iter=10)
     d3 = 100 * (t_iii - t_ii) / t_ii
     d4 = 100 * (t_iv - t_ii) / t_ii
     ok["C8"] = -25 <= d4 < d3 <= -8

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 
 from repro.graph.partitioners import PAPER_STRATEGIES, partition_edges
-from repro.simcluster.cost_model import (
-    ClusterSpec,
-    PartitionProfile,
-    profile_from_spark,
-    simulate,
-)
+from repro.metrics.partition_metrics import profile_cells
+from repro.simcluster.cost_model import ClusterSpec, PartitionProfile, simulate
 
 #: The paper's metric-per-algorithm rule (§4, final paragraph).
 METRIC_FOR_ALGO = {"pr": "comm_cost", "cc": "comm_cost", "sssp": "comm_cost", "tr": "cut"}
@@ -115,17 +111,15 @@ def parsel(
     With ``mode='metric'`` only the first granularity candidate is
     profiled and the paper's metric rule picks the strategy — the cheap
     path. With ``mode='simulate'`` every (strategy, n_parts) pair is
-    simulated and the joint argmin returned.
+    simulated and the joint argmin returned. Either way all candidates
+    are profiled together in one Spark job (``profile_cells``).
     """
     cached = edges.select("src", "dst").localCheckpoint(eager=True)
-    profiles_by_parts: dict[int, dict[str, PartitionProfile]] = {}
     use_parts = parts_candidates if mode == "simulate" else parts_candidates[:1]
-    for n_parts in use_parts:
-        profs = {}
-        for s in strategies:
-            ep = partition_edges(cached, s, n_parts)
-            profs[s] = profile_from_spark(ep, n_parts)
-        profiles_by_parts[n_parts] = profs
+    profiles = profile_cells(
+        {(s, n): (partition_edges(cached, s, n), n) for n in use_parts for s in strategies}
+    )
+    profiles_by_parts = {n: {s: profiles[(s, n)] for s in strategies} for n in use_parts}
     if mode == "metric":
         n_parts = use_parts[0]
         best, scores = select_partitioner(profiles_by_parts[n_parts], algo, mode="metric")

@@ -12,6 +12,7 @@ PARSEL evaluation and the infra experiment all read the same grid.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from pathlib import Path
@@ -28,22 +29,28 @@ from repro.core.parsel import METRIC_FOR_ALGO, select_partitioner
 from repro.graph.builders import degrees, symmetry_pct, vertices
 from repro.graph.partitioners import PAPER_STRATEGIES, partition_edges
 from repro.graphgen.datasets import (
-    BIG_DATASETS,
     DATASET_ORDER,
     SPECS,
     SSSP_EXCLUDED,
+    TIER_DIVISOR,
     load,
 )
-from repro.metrics.partition_metrics import PartitionMetrics, compute_metrics
+from repro.metrics.partition_metrics import PartitionMetrics, profile_cells
 from repro.simcluster.cost_model import (
     CONFIG_PARTS,
     ClusterSpec,
     PartitionProfile,
-    profile_from_spark,
     simulate,
 )
 
-CACHE_DIR = Path(os.environ.get("REPRO_CACHE", "/root/repo/.cache/profiles"))
+#: Cached-profile format, part of every cache key: bump it whenever the
+#: profile derivation or the npz layout changes.
+PROFILE_FORMAT = 3
+
+CACHE_DIR = Path(
+    os.environ.get("REPRO_CACHE")
+    or Path(__file__).resolve().parents[3] / ".cache" / "profiles"
+)
 
 #: Effective BFS diameter handed to the SSSP activity schedule: the
 #: paper's published diameter when finite, else a wave bounded by 20.
@@ -103,8 +110,11 @@ def table1(spark: SparkSession, *, tier: str = "test", datasets=DATASET_ORDER) -
 
 
 def _cache_path(dataset: str, tier: str, strategy: str, n_parts: int) -> Path:
-    # v2: profiles carry per-partition replica counts (n_local)
-    return CACHE_DIR / f"{dataset}_{tier}_{strategy}_{n_parts}_v2.npz"
+    # The key covers everything the profile is computed from, so a changed
+    # dataset spec, tier scale or derivation never reuses a stale file.
+    key = (SPECS[dataset], tier, TIER_DIVISOR[tier], strategy, n_parts, PROFILE_FORMAT)
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+    return CACHE_DIR / f"{dataset}_{tier}_{strategy}_{n_parts}_{digest}.npz"
 
 
 def _save_profile(path: Path, prof: PartitionProfile) -> None:
@@ -153,28 +163,6 @@ def _load_profile(path: Path) -> PartitionProfile:
     )
 
 
-def get_profile(
-    spark: SparkSession,
-    dataset: str,
-    strategy: str,
-    n_parts: int,
-    *,
-    tier: str = "bench",
-    edges=None,
-    use_cache: bool = True,
-) -> PartitionProfile:
-    """Profile one (dataset, strategy, n_parts) cell, disk-cached."""
-    path = _cache_path(dataset, tier, strategy, n_parts)
-    if use_cache and path.exists():
-        return _load_profile(path)
-    e = edges if edges is not None else load(spark, dataset, tier)
-    ep = partition_edges(e, strategy, n_parts)
-    prof = profile_from_spark(ep, n_parts)
-    if use_cache:
-        _save_profile(path, prof)
-    return prof
-
-
 def profile_grid(
     spark: SparkSession,
     *,
@@ -184,21 +172,26 @@ def profile_grid(
     parts=(128, 256),
     use_cache: bool = True,
 ) -> dict[tuple[str, str, int], PartitionProfile]:
-    """All profiles for the evaluation grid (cached across processes)."""
+    """All profiles for the evaluation grid (cached across processes).
+
+    The uncached cells of each dataset are profiled together in one
+    Spark job (``profile_cells``).
+    """
     grid: dict[tuple[str, str, int], PartitionProfile] = {}
     for name in datasets:
-        edges = None
-        for n_parts in parts:
-            for s in strategies:
-                path = _cache_path(name, tier, s, n_parts)
-                if use_cache and path.exists():
-                    grid[(name, s, n_parts)] = _load_profile(path)
-                    continue
-                if edges is None:
-                    edges = load(spark, name, tier).localCheckpoint(eager=True)
-                grid[(name, s, n_parts)] = get_profile(
-                    spark, name, s, n_parts, tier=tier, edges=edges, use_cache=use_cache
-                )
+        keys = [(name, s, n) for n in parts for s in strategies]
+        paths = {k: _cache_path(name, tier, k[1], k[2]) for k in keys}
+        found = {k: _load_profile(paths[k]) for k in keys if use_cache and paths[k].exists()}
+        missing = [k for k in keys if k not in found]
+        if missing:
+            edges = load(spark, name, tier).localCheckpoint(eager=True)
+            found.update(
+                profile_cells({k: (partition_edges(edges, k[1], k[2]), k[2]) for k in missing})
+            )
+            if use_cache:
+                for k in missing:
+                    _save_profile(paths[k], found[k])
+        grid.update((k, found[k]) for k in keys)
     return grid
 
 
@@ -343,7 +336,10 @@ def infra_table(
     all at 256 partitions. The paper reports −15 % and −20 % vs (ii).
     """
     n_parts = CONFIG_PARTS["ii"]
-    prof = get_profile(spark, dataset, strategy, n_parts, tier=tier, use_cache=use_cache)
+    prof = profile_grid(
+        spark, tier=tier, datasets=(dataset,), strategies=(strategy,), parts=(n_parts,),
+        use_cache=use_cache,
+    )[(dataset, strategy, n_parts)]
     base = ClusterSpec()
     configs = {
         "ii (1Gbps, HDD)": base,

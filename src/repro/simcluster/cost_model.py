@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.metrics.partition_metrics import PartitionMetrics
+from repro.metrics.partition_metrics import PartitionMetrics, PartitionProfile, profile_cells
 
 ALGORITHMS = ("pr", "cc", "tr", "sssp")
 
@@ -95,38 +95,13 @@ class ClusterSpec:
 CONFIG_PARTS = {"i": 128, "ii": 256}
 
 
-@dataclass(frozen=True)
-class PartitionProfile:
-    """Everything the simulator needs about one partitioning.
-
-    Built once per (dataset, strategy, n_parts) from Spark aggregates
-    (see ``profile_from_spark``); simulation itself is pure numpy.
-    """
-
-    n_parts: int
-    m_edges: np.ndarray  # edges per partition, len n_parts
-    sum_deg_sq: np.ndarray  # Σ local deg² per partition, len n_parts
-    n_local: np.ndarray  # vertex replicas materialized per partition
-    metrics: PartitionMetrics
-
-
 def profile_from_spark(edges_p, n_parts: int, metrics: PartitionMetrics | None = None) -> PartitionProfile:
-    """Collect per-partition stats into a numpy profile."""
-    from repro.metrics.partition_metrics import compute_metrics, per_partition_stats
+    """Profile one partitioning (``profile_cells`` for a single cell).
 
-    stats = per_partition_stats(edges_p).collect()
-    m = np.zeros(n_parts)
-    dsq = np.zeros(n_parts)
-    nloc = np.zeros(n_parts)
-    for r in stats:
-        m[r["pid"]] = r["m_edges"]
-        dsq[r["pid"]] = r["sum_deg_sq"]
-        nloc[r["pid"]] = r["n_local_vertices"]
-    if metrics is None:
-        metrics = compute_metrics(edges_p, n_parts)
-    return PartitionProfile(
-        n_parts=n_parts, m_edges=m, sum_deg_sq=dsq, n_local=nloc, metrics=metrics
-    )
+    ``metrics``, if given, replaces the derived metrics in the profile.
+    """
+    prof = profile_cells({0: (edges_p, n_parts)})[0]
+    return prof if metrics is None else replace(prof, metrics=metrics)
 
 
 def activity_schedule(algo: str, *, n_iter: int = 10, diameter: int = 12) -> list[float]:

@@ -7,21 +7,28 @@ caught as a row diff, not just "it ran" (see repro.oracle).
 import math
 
 import duckdb
+import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.builders import edges_from_pairs
-from repro.graph.partitioners import STRATEGIES, partition_edges
-from repro.metrics.partition_metrics import (
-    compute_metrics,
-    edge_partition_sizes,
-    per_partition_stats,
-    replica_counts,
-    replicas,
-)
+from repro.graph.partitioners import PAPER_STRATEGIES, STRATEGIES, partition_edges
+from repro.metrics.partition_metrics import compute_metrics, profile_cells
 from repro.oracle import assert_equivalent
 
 N_PARTS = 16
+
+#: A small graph with a duplicate arc, two self-loops (one on a vertex
+#: that has no other edge) and, at these granularities, empty partitions.
+ODD_PAIRS = [(1, 2), (1, 2), (3, 3), (2, 3), (3, 1), (4, 1), (1, 5), (5, 4), (6, 1), (7, 7)]
+ODD_PARTS = (3, 8)
+
+#: Every cell the oracle checks: the social graph under the paper's six
+#: strategies, and the odd graph under all eight at two granularities.
+ORACLE_CELLS = [("social", s, N_PARTS) for s in PAPER_STRATEGIES] + [
+    ("odd", s, n) for n in ODD_PARTS for s in STRATEGIES
+]
 
 ORACLE_METRICS_SQL = """
 WITH r AS (
@@ -42,6 +49,24 @@ FROM c
 """
 
 
+ORACLE_PER_PARTITION_SQL = """
+WITH ends AS (
+  SELECT src AS id, pid FROM e
+  UNION ALL
+  SELECT dst AS id, pid FROM e
+), local_deg AS (
+  SELECT pid, id, count(*) AS d FROM ends GROUP BY pid, id
+), per_pid AS (
+  SELECT pid, count(*) AS n_local, sum(d * d) AS sum_deg_sq FROM local_deg GROUP BY pid
+), sizes AS (
+  SELECT pid, count(*) AS m_edges FROM e GROUP BY pid
+)
+SELECT CAST(pid AS BIGINT) AS pid, CAST(m_edges AS BIGINT) AS m_edges,
+       CAST(n_local AS BIGINT) AS n_local, CAST(sum_deg_sq AS BIGINT) AS sum_deg_sq
+FROM sizes JOIN per_pid USING (pid)
+"""
+
+
 @pytest.fixture(scope="module", params=["RVC", "1D", "2D", "CRVC", "SC", "DC"])
 def social_partition(request, spark, social_small_edges):
     strategy = request.param
@@ -49,14 +74,57 @@ def social_partition(request, spark, social_small_edges):
     return strategy, ep, compute_metrics(ep, N_PARTS)
 
 
+@pytest.fixture(scope="module")
+def oracle_grid(spark, social_small_edges):
+    """``{cell: (edges_p as pandas, profile)}``, all cells profiled in one pass."""
+    graphs = {
+        "social": social_small_edges,
+        "odd": spark.createDataFrame(ODD_PAIRS, "src long, dst long").localCheckpoint(eager=True),
+    }
+    cells = {
+        (g, s, n): (partition_edges(graphs[g], s, n).localCheckpoint(eager=True), n)
+        for g, s, n in ORACLE_CELLS
+    }
+    profiles = profile_cells(cells)
+    grid = {k: (ep.toPandas(), profiles[k]) for k, (ep, _) in cells.items()}
+    # The odd graph must exercise the edge cases it was built for.
+    odd = [grid[k] for k in grid if k[0] == "odd"]
+    assert all((pdf.src == pdf.dst).any() and pdf.duplicated().any() for pdf, _ in odd)
+    assert any((p.m_edges == 0).any() for _, p in odd)
+    return grid
+
+
+def _cell_id(cell):
+    graph, strategy, n_parts = cell
+    return strategy if graph == "social" else f"{graph}-{strategy}-{n_parts}"
+
+
 class TestOracleAgreement:
-    def test_counts_vs_duckdb(self, spark, social_partition):
-        _, ep, m = social_partition
+    @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=_cell_id)
+    def test_counts_vs_duckdb(self, spark, oracle_grid, cell):
+        pdf, prof = oracle_grid[cell]
+        m = prof.metrics
         got = spark.createDataFrame(
             [(m.non_cut, m.cut, m.comm_cost, m.n_vertices)],
             "non_cut long, cut long, comm_cost long, n_vertices long",
         )
-        assert_equivalent(got, ORACLE_METRICS_SQL, e=ep)
+        assert_equivalent(got, ORACLE_METRICS_SQL, e=pdf)
+
+    @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=_cell_id)
+    def test_per_partition_vs_duckdb(self, spark, oracle_grid, cell):
+        pdf, prof = oracle_grid[cell]
+        rows = pd.DataFrame(
+            {
+                "pid": np.arange(prof.n_parts),
+                "m_edges": prof.m_edges,
+                "n_local": prof.n_local,
+                "sum_deg_sq": prof.sum_deg_sq,
+            }
+        ).astype("int64")
+        # Empty partitions are all-zero in the profile and absent in SQL.
+        got = spark.createDataFrame(rows[rows.m_edges > 0])
+        assert (rows[rows.m_edges == 0].drop(columns="pid") == 0).all().all()
+        assert_equivalent(got, ORACLE_PER_PARTITION_SQL, e=pdf)
 
     def test_balance_vs_duckdb(self, social_partition):
         _, ep, m = social_partition
@@ -69,11 +137,9 @@ class TestOracleAgreement:
         assert m.balance == pytest.approx(mx / avg)
 
     def test_part_stdev_vs_numpy(self, social_partition):
-        import numpy as np
-
         _, ep, m = social_partition
-        sizes = np.array(edge_partition_sizes(ep, N_PARTS))
-        assert m.part_stdev == pytest.approx(float(np.std(sizes)))
+        sizes = ep.toPandas().pid.value_counts().reindex(range(N_PARTS), fill_value=0)
+        assert m.part_stdev == pytest.approx(float(np.std(sizes.to_numpy())))
 
 
 class TestIdentities:
@@ -130,38 +196,40 @@ class TestSmallClosedForm:
     def test_empty_partition_counts_as_zero(self, spark):
         e = edges_from_pairs(spark, [(1, 2), (2, 3)])
         ep = e.withColumn("pid", F.lit(0))
-        sizes = edge_partition_sizes(ep, 3)
-        assert sizes == [2, 0, 0]
-        m = compute_metrics(ep, 3)
-        assert m.balance == pytest.approx(2 / (2 / 3))
+        prof = profile_cells({0: (ep, 3)})[0]
+        assert prof.m_edges.tolist() == [2, 0, 0]
+        assert prof.metrics.balance == pytest.approx(2 / (2 / 3))
 
 
 class TestReplicas:
     def test_replica_pairs_distinct(self, spark):
         e = edges_from_pairs(spark, [(1, 2), (1, 2), (1, 3)])
         ep = e.withColumn("pid", F.lit(0))
-        assert replicas(ep).count() == 3  # (1,0),(2,0),(3,0)
+        prof = profile_cells({0: (ep, 1)})[0]
+        assert prof.n_local.tolist() == [3]  # (1,0),(2,0),(3,0)
+        assert prof.metrics.n_vertices == 3
 
     def test_replica_counts(self, spark):
+        # vertex 1 is in both partitions, 2 and 3 in one each
         e = edges_from_pairs(spark, [(1, 2), (1, 3)])
         ep = e.withColumn("pid", (F.col("dst") % 2).cast("int"))
-        counts = {r["id"]: r["n_replicas"] for r in replica_counts(ep).collect()}
-        assert counts[1] == 2 and counts[2] == 1 and counts[3] == 1
+        prof = profile_cells({0: (ep, 2)})[0]
+        assert prof.n_local.tolist() == [2, 2]
+        m = prof.metrics
+        assert (m.non_cut, m.cut, m.comm_cost) == (2, 1, 2)
 
     def test_per_partition_stats_sum(self, social_partition, social_small_edges):
         _, ep, _ = social_partition
-        stats = per_partition_stats(ep).toPandas()
-        assert stats["m_edges"].sum() == social_small_edges.count()
-        # sum over partitions of local degree = 2m per partition sum
-        # (each edge contributes one endpoint-occurrence to src and dst)
+        prof = profile_cells({0: (ep, N_PARTS)})[0]
+        assert prof.m_edges.sum() == social_small_edges.count()
 
     def test_sum_deg_sq_star(self, spark):
         # hub + 3 leaves in one partition: local degs = [3,1,1,1]
         e = edges_from_pairs(spark, [(0, 1), (0, 2), (0, 3)])
         ep = e.withColumn("pid", F.lit(0))
-        row = per_partition_stats(ep).first()
-        assert row["sum_deg_sq"] == 9 + 1 + 1 + 1
-        assert row["n_local_vertices"] == 4
+        prof = profile_cells({0: (ep, 1)})[0]
+        assert prof.sum_deg_sq[0] == 9 + 1 + 1 + 1
+        assert prof.n_local[0] == 4
 
 
 class TestAcrossStrategies:

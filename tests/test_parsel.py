@@ -110,3 +110,23 @@ class TestEndToEnd:
         )
         assert len(sel.scores) == 4
         assert sel.scores[(sel.strategy, sel.n_parts)] == min(sel.scores.values())
+
+    def test_parsel_profiles_in_one_job(self, spark, social_small_edges):
+        """Simulate mode runs two Spark jobs: the edge checkpoint and the
+        one collect that profiles every candidate. Adaptive execution
+        submits each shuffle stage as a job of its own, so it is off
+        here: then every job is one action."""
+        sc = spark.sparkContext
+        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        sc.setJobGroup("parsel-jobs", "count the jobs of one parsel call")
+        try:
+            sel = parsel(
+                social_small_edges, "pr",
+                parts_candidates=(8, 16), strategies=("RVC", "2D", "DC"), mode="simulate",
+            )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+        assert len(sel.scores) == 6
+        assert len(sc.statusTracker().getJobIdsForGroup("parsel-jobs")) <= 2
