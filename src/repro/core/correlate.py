@@ -48,9 +48,3 @@ def metric_time_correlations(runs: pd.DataFrame, *, time_col: str = "time") -> p
         if m in runs.columns:
             out[m] = pearson(runs[m], runs[time_col])
     return pd.Series(out, name="pearson_r")
-
-
-def best_metric(runs: pd.DataFrame, *, time_col: str = "time") -> str:
-    """The metric most correlated with runtime (by |r|)."""
-    corr = metric_time_correlations(runs, time_col=time_col)
-    return corr.abs().idxmax()

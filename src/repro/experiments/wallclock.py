@@ -1,21 +1,14 @@
-"""Wall-clock execution of the four algorithms on a placed partitioning.
+"""Physical placement of a partitioning for real (wall-clock) Spark runs.
 
-The cluster simulator reproduces the paper's distributed timings; these
-helpers run the *real* algorithms on local Spark with the edges
-physically repartitioned by ``pid``, so benchmarks can spot-check that
-actual shuffle work tracks the partitioning metrics (DESIGN.md
-substitution #3).
+The cluster simulator reproduces the paper's distributed timings; the
+wall-clock runs in ``perfbench/`` execute the real algorithms on local
+Spark with the edges physically repartitioned by ``pid``
+(DESIGN.md substitution #3).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame
 
-from repro.algos.connected_components import connected_components
-from repro.algos.pagerank import pagerank
-from repro.algos.sssp import sssp
-from repro.algos.triangles import triangle_counts_per_vertex
 from repro.graph.partitioners import partition_edges, place
 
 
@@ -23,23 +16,3 @@ def prepare(edges: DataFrame, strategy: str, n_parts: int) -> DataFrame:
     """Partition + physically place edges, materialized."""
     ep = place(partition_edges(edges, strategy, n_parts), n_parts)
     return ep.localCheckpoint(eager=True)
-
-
-def run_algo(edges_p: DataFrame, algo: str, *, landmarks=None, n_iter: int = 10) -> float:
-    """Run one algorithm to completion; return elapsed seconds."""
-    algo = algo.lower()
-    t0 = time.perf_counter()
-    if algo == "pr":
-        res = pagerank(edges_p, num_iter=n_iter)
-        res.vertices.count()
-    elif algo == "cc":
-        res = connected_components(edges_p, max_iter=n_iter)
-        res.vertices.count()
-    elif algo == "tr":
-        triangle_counts_per_vertex(edges_p).count()
-    elif algo == "sssp":
-        res = sssp(edges_p, landmarks or [0], max_iter=30)
-        res.vertices.count()
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return time.perf_counter() - t0

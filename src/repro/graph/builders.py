@@ -46,11 +46,6 @@ def vertices(edges: DataFrame) -> DataFrame:
     )
 
 
-def num_vertices(edges: DataFrame) -> int:
-    """Count of distinct vertices in the edge list."""
-    return vertices(edges).count()
-
-
 def dedup(edges: DataFrame) -> DataFrame:
     """Drop exact duplicate arcs (same ``src`` and ``dst``)."""
     return edges.dropDuplicates(["src", "dst"])

@@ -85,9 +85,9 @@ _EXPR_STRATEGIES = {
 }
 
 
-def _with_degrees(edges: DataFrame, deg: DataFrame | None) -> DataFrame:
+def _with_degrees(edges: DataFrame) -> DataFrame:
     """Attach ``src_deg``/``dst_deg`` columns (total degree of each endpoint)."""
-    d = (deg if deg is not None else degrees(edges)).select("id", "deg")
+    d = degrees(edges).select("id", "deg")
     return (
         edges.join(
             d.select(F.col("id").alias("src"), F.col("deg").alias("src_deg")),
@@ -100,14 +100,14 @@ def _with_degrees(edges: DataFrame, deg: DataFrame | None) -> DataFrame:
     )
 
 
-def _dbh(edges: DataFrame, n: int, deg: DataFrame | None) -> DataFrame:
+def _dbh(edges: DataFrame, n: int) -> DataFrame:
     """Degree-Based Hashing (Xie et al. 2014): hash the lower-degree endpoint.
 
     Cutting high-degree vertices (which power-law graphs make
     inevitable) while keeping low-degree vertices whole minimizes the
     replication factor in expectation.
     """
-    e = _with_degrees(edges, deg)
+    e = _with_degrees(edges)
     pid = F.when(
         (F.col("src_deg") < F.col("dst_deg"))
         | ((F.col("src_deg") == F.col("dst_deg")) & (F.col("src") <= F.col("dst"))),
@@ -116,7 +116,7 @@ def _dbh(edges: DataFrame, n: int, deg: DataFrame | None) -> DataFrame:
     return e.select("src", "dst", pid.alias("pid"))
 
 
-def _hyb(edges: DataFrame, n: int, deg: DataFrame | None, threshold: float | None) -> DataFrame:
+def _hyb(edges: DataFrame, n: int, threshold: float | None) -> DataFrame:
     """Hybrid-Cut (PowerLyra, Chen et al. 2015).
 
     Edges pointing at a low in-degree destination are grouped by
@@ -124,7 +124,7 @@ def _hyb(edges: DataFrame, n: int, deg: DataFrame | None, threshold: float | Non
     "superstar" destinations are spread by source hash. Default
     threshold: 100 × average degree, per the PowerLyra evaluation.
     """
-    d = (deg if deg is not None else degrees(edges)).select("id", "in_deg")
+    d = degrees(edges).select("id", "in_deg")
     if threshold is None:
         row = edges.agg(F.count(F.lit(1)).alias("m")).first()
         nv = d.count()
@@ -144,13 +144,11 @@ def partition_edges(
     strategy: str,
     n_parts: int,
     *,
-    deg: DataFrame | None = None,
     hyb_threshold: float | None = None,
 ) -> DataFrame:
     """Assign every edge a ``pid`` in ``[0, n_parts)`` under ``strategy``.
 
-    Returns ``(src, dst, pid)``. ``deg`` lets callers reuse a cached
-    degree table for the degree-aware strategies (DBH/HYB).
+    Returns ``(src, dst, pid)``.
     """
     if n_parts < 1:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
@@ -159,16 +157,16 @@ def partition_edges(
         pid = _EXPR_STRATEGIES[strategy](n_parts)
         return edges.select("src", "dst", pid.alias("pid"))
     if strategy == "DBH":
-        return _dbh(edges, n_parts, deg)
+        return _dbh(edges, n_parts)
     if strategy == "HYB":
-        return _hyb(edges, n_parts, deg, hyb_threshold)
+        return _hyb(edges, n_parts, hyb_threshold)
     raise ValueError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
 
 
 def place(edges_p: DataFrame, n_parts: int) -> DataFrame:
     """Physically co-locate edges by ``pid`` (one RDD partition per pid).
 
-    Metrics only need the logical ``pid`` column; wall-clock benchmarks
-    call this so Spark's shuffle actually sees the layout.
+    Metrics only need the logical ``pid`` column; wall-clock runs call
+    this so Spark's shuffle actually sees the layout.
     """
     return edges_p.repartition(n_parts, F.col("pid"))

@@ -4,7 +4,7 @@ Each entry records the paper's Table 1 characterization (for
 EXPERIMENTS.md diffs) and a generator recipe. Two tiers:
 
 - ``test``  — paper size / 2000 (unit/integration tests, <15 K edges)
-- ``bench`` — paper size / 200 (benchmarks & table jobs, up to ~1 M arcs)
+- ``bench`` — paper size / 200 (table jobs and the claims test, up to ~1 M arcs)
 
 ``follow-jul`` is derived from ``follow-dec`` by a deterministic ~2/3
 arc subsample, mirroring the paper's crawl-prefix containment (jul ⊂

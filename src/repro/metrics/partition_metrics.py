@@ -39,12 +39,17 @@ union comes after each cell's aggregation, not before it: a union of the
 raw rows puts every cell into the same shuffle, whose tasks then grow
 with the number of cells (adaptive execution coalesces to about one task
 per core) until they spill.
+
+``save_profile``/``load_profile`` are the on-disk (npz) form of a
+profile. They live here so that the profile cache key, which digests
+this module's source, covers the file format too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
+from pathlib import Path
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -65,9 +70,6 @@ class PartitionMetrics:
     comm_cost: int
     part_stdev: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PartitionProfile:
@@ -78,6 +80,32 @@ class PartitionProfile:
     sum_deg_sq: np.ndarray  # Σ local deg² per partition, len n_parts
     n_local: np.ndarray  # vertex replicas materialized per partition
     metrics: PartitionMetrics
+
+
+def save_profile(path: Path, prof: PartitionProfile) -> None:
+    """Write a profile as npz: its three arrays plus one entry per metric field."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    m = prof.metrics
+    np.savez_compressed(
+        path,
+        m_edges=prof.m_edges,
+        sum_deg_sq=prof.sum_deg_sq,
+        n_local=prof.n_local,
+        **{f.name: getattr(m, f.name) for f in fields(m)},
+    )
+
+
+def load_profile(path: Path) -> PartitionProfile:
+    """Read a profile written by :func:`save_profile`."""
+    with np.load(path) as z:
+        metrics = PartitionMetrics(**{f.name: z[f.name].item() for f in fields(PartitionMetrics)})
+        return PartitionProfile(
+            n_parts=metrics.n_parts,
+            m_edges=z["m_edges"],
+            sum_deg_sq=z["sum_deg_sq"],
+            n_local=z["n_local"],
+            metrics=metrics,
+        )
 
 
 def _replica_pass(ep: DataFrame) -> DataFrame:

@@ -42,8 +42,6 @@ import numpy as np
 
 from repro.metrics.partition_metrics import PartitionMetrics, PartitionProfile, profile_cells
 
-ALGORITHMS = ("pr", "cc", "tr", "sssp")
-
 
 @dataclass(frozen=True)
 class ClusterSpec:

@@ -1,7 +1,7 @@
 """Shared test fixtures: small deterministic graphs, session-scoped.
 
 Everything here is tiny (≤ ~15 K arcs) so the several hundred tests
-stay fast; the bench tier is exercised by ``benchmarks/``. Spark
+stay fast; the bench tier is exercised only by ``test_claims.py``. Spark
 DataFrames are localCheckpoint-ed so fixture reuse does not recompute
 lineage.
 """

@@ -8,7 +8,6 @@ from repro.graph.builders import (
     degrees,
     drop_self_loops,
     edges_from_pairs,
-    num_vertices,
     symmetrize,
     symmetry_pct,
     vertices,
@@ -26,12 +25,9 @@ class TestVertices:
         ids = {r["id"] for r in vertices(tiny).collect()}
         assert ids == {1, 2, 3}
 
-    def test_num_vertices(self, tiny):
-        assert num_vertices(tiny) == 3
-
     def test_vertices_er(self, er_edges, er_pairs):
         expected = {v for p in er_pairs for v in p}
-        assert num_vertices(er_edges) == len(expected)
+        assert vertices(er_edges).count() == len(expected)
 
     def test_schema_long(self, tiny):
         assert dict(tiny.dtypes) == {"src": "bigint", "dst": "bigint"}

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.correlate import best_metric, metric_time_correlations, pearson
+from repro.core.correlate import metric_time_correlations, pearson
 
 
 class TestPearson:
@@ -39,9 +39,6 @@ class TestTableCorrelations:
     def test_commcost_perfectly_tracks_time(self):
         r = metric_time_correlations(self._runs())
         assert r["comm_cost"] == pytest.approx(1.0)
-
-    def test_best_metric_selected(self):
-        assert best_metric(self._runs()) == "comm_cost"
 
     def test_missing_metric_columns_skipped(self):
         runs = pd.DataFrame({"comm_cost": [1, 2, 3], "time": [1, 2, 3]})

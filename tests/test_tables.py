@@ -3,14 +3,18 @@
 These run the actual pipeline (generate → partition → metrics →
 simulate) at the cheap ``test`` tier on a subset of datasets, with the
 disk cache redirected to a temp dir, and assert the paper's headline
-*shape* claims hold end-to-end.
+*shape* claims hold end-to-end. The full claims on the bench-tier grid
+are checked in ``test_claims.py``.
 """
+from dataclasses import fields
+
 import numpy as np
 import pandas as pd
 import pytest
 
 import repro.experiments.tables as T
 from repro.core.correlate import METRIC_COLS
+from repro.metrics.partition_metrics import load_profile
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -56,6 +60,32 @@ class TestMetricsTable:
         a = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
         b = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
         pd.testing.assert_frame_equal(a, b)
+        # A profile read back from its cache file equals a fresh one, types too.
+        fresh = T.profile_grid(
+            spark, tier="test", datasets=("youtube",), strategies=("2D",), parts=(16,),
+            use_cache=False,
+        )[("youtube", "2D", 16)]
+        loaded = load_profile(T._cache_path("youtube", "test", "2D", 16))
+        assert loaded.metrics == fresh.metrics
+        for f in fields(fresh.metrics):
+            assert type(getattr(loaded.metrics, f.name)) is type(getattr(fresh.metrics, f.name))
+        for name in ("m_edges", "sum_deg_sq", "n_local"):
+            got, want = getattr(loaded, name), getattr(fresh, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("module", [p.name for p in T.KEYED_MODULES])
+    def test_cache_key_covers_source(self, tmp_path, monkeypatch, module):
+        """Editing a keyed module's bytes moves every cache file."""
+        key = ("pocek", "bench", "2D", 128)
+        before = T._cache_path(*key)
+        for path in T.KEYED_MODULES:
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setattr(T, "KEYED_MODULES", tuple(tmp_path / p.name for p in T.KEYED_MODULES))
+        assert T._cache_path(*key) == before  # the key reads bytes, not paths
+        edited = tmp_path / module
+        edited.write_bytes(edited.read_bytes() + b"\n")
+        assert T._cache_path(*key) != before
 
 
 class TestRuntimeTables:
@@ -87,8 +117,8 @@ class TestRuntimeTables:
     def test_pr_commcost_strongly_correlated(self, runs_pr):
         """Figure 3's claim, scaled down: CommCost is a top-2 predictor
         of PR time with r > 0.8. (The strict top-metric claim holds at
-        bench tier — asserted in benchmarks/bench_pagerank.py — but at
-        1/2000 scale with two datasets Cut can edge it out.)"""
+        bench tier — claim C1 in test_claims.py — but at 1/2000 scale
+        with two datasets Cut can edge it out.)"""
         corr = T.correlation_table(runs_pr).set_index("n_parts")
         for n in (16, 32):
             r = corr.loc[n, list(METRIC_COLS)].astype(float)
