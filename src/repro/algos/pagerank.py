@@ -23,10 +23,10 @@ RESET_PROB = 0.15
 def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_PROB) -> PregelResult:
     """Run static PageRank for ``num_iter`` supersteps.
 
-    Returns vertex frame ``(id, rank, out_deg)``; ``active_per_iter`` is
-    all-vertices every round (PR never converges early within a static
-    iteration budget — the paper calls it communication-bound for
-    exactly this reason).
+    Returns vertex frame ``(id, rank, out_deg)``. Every vertex is active
+    every round (PR never converges early within a static iteration
+    budget — the paper calls it communication-bound for exactly this
+    reason), so changes are not counted: ``active_per_iter`` is all -1.
     """
     deg = degrees(edges).select("id", "out_deg")
     init = vertices(edges).join(deg, "id", "left_outer").select(
@@ -59,7 +59,6 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_
         F.sum("msg"),
         update,
         max_iter=num_iter,
-        attach=("src",),
         check_convergence=False,
     )
 

@@ -16,52 +16,37 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.pregel import PregelResult
+from repro.graph.pregel import PregelResult, run_pregel
 
 
 def sssp(edges: DataFrame, landmarks: list[int], *, max_iter: int = 50) -> PregelResult:
     """Frontier BFS from each landmark simultaneously.
 
     State is the long frame ``(id, landmark, dist)`` holding only
-    *reached* pairs; each superstep relaxes the arcs leaving the newest
-    frontier. Iterates until no distance improves or ``max_iter``.
+    *reached* pairs, keyed by ``(id, landmark)``; a pair whose distance
+    improved relaxes its out-arcs in the next superstep. Iterates until
+    no distance improves or ``max_iter``.
     """
-    spark = edges.sparkSession
-    e = edges.select("src", "dst")
-    dist = spark.createDataFrame(
+    init = edges.sparkSession.createDataFrame(
         [(int(l), int(l), 0) for l in landmarks], "id long, landmark long, dist int"
-    ).localCheckpoint(eager=True)
-    frontier = dist
-    active: list[int] = []
-    it = 0
-    for it in range(1, max_iter + 1):
-        cand = (
-            e.join(frontier.withColumnRenamed("id", "src"), "src")
-            .select("dst", "landmark", (F.col("dist") + 1).alias("dist"))
-            .groupBy(F.col("dst").alias("id"), "landmark")
-            .agg(F.min("dist").alias("dist"))
+    )
+
+    def send(e: DataFrame) -> DataFrame:
+        return e.select(
+            F.col("dst").alias("id"),
+            F.col("src_landmark").alias("landmark"),
+            (F.col("src_dist") + 1).alias("msg"),
         )
-        improved = (
-            cand.join(
-                dist.select("id", "landmark", F.col("dist").alias("old")),
-                ["id", "landmark"],
-                "left_outer",
-            )
-            .filter(F.col("old").isNull() | (F.col("dist") < F.col("old")))
-            .select("id", "landmark", "dist")
-            .localCheckpoint(eager=True)
+
+    def update(joined: DataFrame) -> DataFrame:
+        improved = F.coalesce(F.col("msg") < F.col("dist"), F.col("dist").isNull())
+        return joined.select(
+            "id", "landmark", F.least("dist", "msg").alias("dist"), improved.alias("changed")
         )
-        n = improved.count()
-        active.append(n)
-        if n == 0:
-            break
-        dist = (
-            dist.join(improved.select("id", "landmark"), ["id", "landmark"], "left_anti")
-            .unionByName(improved)
-            .localCheckpoint(eager=True)
-        )
-        frontier = improved
-    return PregelResult(vertices=dist, iterations=it, active_per_iter=active)
+
+    return run_pregel(
+        init, edges.select("src", "dst"), send, F.min("msg"), update, max_iter=max_iter
+    )
 
 
 def sssp_reference(edge_list: list[tuple[int, int]], source: int) -> dict[int, int]:

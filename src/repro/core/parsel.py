@@ -11,11 +11,10 @@ the right *comparison metric* depends on the computation:
   should choose by **Cut vertices**, the better proxy for the
   per-superstep reduction overhead.
 
-``select_partitioner`` implements both the paper's cheap metric
-heuristic and a full cost-model simulation; ``select_granularity``
-implements the paper's coarse-vs-fine guidance by simulating both
-configurations. ``parsel`` is the end-to-end selector over a raw edge
-DataFrame.
+``select_partitioner`` implements the paper's cheap metric heuristic;
+``select_granularity`` implements the paper's coarse-vs-fine guidance
+by simulating every (strategy, granularity) candidate. ``parsel`` is
+the end-to-end selector over a raw edge DataFrame.
 """
 from __future__ import annotations
 
@@ -49,31 +48,11 @@ def _metric_score(prof: PartitionProfile, algo: str) -> float:
     return float(primary) * (1.0 + 0.01 * (m.balance - 1.0))
 
 
-def select_partitioner(
-    profiles: dict[str, PartitionProfile],
-    algo: str,
-    *,
-    mode: str = "metric",
-    spec: ClusterSpec = ClusterSpec(),
-    n_iter: int = 10,
-    diameter: int = 12,
-) -> tuple[str, dict[str, float]]:
-    """Pick the best strategy among pre-computed partition profiles.
-
-    ``mode='metric'`` uses the paper's per-algorithm metric rule (no
-    simulation); ``mode='simulate'`` runs the cluster cost model.
-    """
-    if mode == "metric":
-        scores = {s: _metric_score(p, algo) for s, p in profiles.items()}
-    elif mode == "simulate":
-        scores = {
-            s: simulate(algo, p, spec, n_iter=n_iter, diameter=diameter)
-            for s, p in profiles.items()
-        }
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    best = min(scores, key=scores.get)
-    return best, scores
+def select_partitioner(profiles: dict[str, PartitionProfile], algo: str) -> tuple[str, dict[str, float]]:
+    """Pick the best strategy among pre-computed partition profiles by
+    the paper's per-algorithm metric rule (no simulation)."""
+    scores = {s: _metric_score(p, algo) for s, p in profiles.items()}
+    return min(scores, key=scores.get), scores
 
 
 def select_granularity(
@@ -112,8 +91,11 @@ def parsel(
     profiled and the paper's metric rule picks the strategy — the cheap
     path. With ``mode='simulate'`` every (strategy, n_parts) pair is
     simulated and the joint argmin returned. Either way all candidates
-    are profiled together in one Spark job (``profile_cells``).
+    are profiled together in one Spark job (``profile_cells``). Any
+    other ``mode`` raises ``ValueError`` before any Spark work.
     """
+    if mode not in ("metric", "simulate"):
+        raise ValueError(f"unknown mode {mode!r}")
     cached = edges.select("src", "dst").localCheckpoint(eager=True)
     use_parts = parts_candidates if mode == "simulate" else parts_candidates[:1]
     profiles = profile_cells(
@@ -122,7 +104,7 @@ def parsel(
     profiles_by_parts = {n: {s: profiles[(s, n)] for s in strategies} for n in use_parts}
     if mode == "metric":
         n_parts = use_parts[0]
-        best, scores = select_partitioner(profiles_by_parts[n_parts], algo, mode="metric")
+        best, scores = select_partitioner(profiles_by_parts[n_parts], algo)
         return Selection(
             strategy=best,
             n_parts=n_parts,

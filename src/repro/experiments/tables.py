@@ -363,7 +363,7 @@ def parsel_table(
         for name in ds:
             for n_parts in parts:
                 profs = {s: grid[(name, s, n_parts)] for s in strategies}
-                pick, _ = select_partitioner(profs, algo, mode="metric")
+                pick, _ = select_partitioner(profs, algo)
                 times = {
                     s: simulate(algo, p, n_iter=10, diameter=_sssp_diameter(name))
                     for s, p in profs.items()

@@ -1,22 +1,32 @@
-"""A minimal Pregel/BSP engine over DataFrames.
+"""The one Pregel/BSP engine, over DataFrames.
 
 GraphX maps BSP supersteps onto RDD joins and aggregations; we do the
-same with DataFrames: each superstep joins vertex state onto the edge
-frame, emits messages, reduces them per destination vertex, and merges
-the reduced message into the vertex state. Lineage is truncated every
-iteration with ``localCheckpoint`` so 10–50 iterations stay tractable.
+same with DataFrames. Each superstep joins the *active* state rows onto
+the arcs leaving them, emits messages, reduces them per key, and merges
+the reduced message into the state. Lineage is truncated every superstep
+with ``localCheckpoint`` so 10–50 supersteps stay tractable.
 
-Callers provide three pieces, all expressed at the DataFrame level
-(keeping everything inside Catalyst — no Python row UDFs):
+The state frame has an ``id`` column (the vertex) plus state columns; a
+vertex may own several rows, e.g. one per SSSP landmark. Callers provide
+three pieces, all expressed at the DataFrame level (keeping everything
+inside Catalyst — no Python row UDFs):
 
-- ``send(edges_with_state) -> DataFrame('id', 'msg')`` — given the edge
-  frame joined with source state (columns of the vertex frame prefixed
-  ``src_``/``dst_`` as requested), produce addressed messages.
+- ``send(arcs_with_state) -> DataFrame(<key>..., 'msg')`` — given the arc
+  frame joined with the active rows of its source (state columns
+  prefixed ``src_``, the vertex ``id`` as ``src``), produce addressed
+  messages. The message key is every output column except ``msg``:
+  ``id`` for PageRank and CC, ``(id, landmark)`` for SSSP. It must name
+  state columns, since messages and state are merged on it.
 - ``agg_expr`` — an aggregate ``Column`` over ``msg`` (e.g. ``F.sum``,
-  ``F.min``) used to combine messages per vertex.
-- ``update(vertices_joined) -> DataFrame`` — merge the combined ``msg``
-  column into the vertex state; must also produce a boolean ``changed``
-  column used for convergence detection.
+  ``F.min``) used to combine messages per key.
+- ``update(joined) -> DataFrame`` — ``joined`` is the state full-outer-
+  joined with the combined ``msg`` on the key, so a key first reached by
+  a message arrives with null state, and a row no message reached has a
+  null ``msg``. Return the new state plus a non-null boolean ``changed``.
+
+Active-set rule (GraphX's ``activeDirection = Out``): every state row
+sends in the first superstep; after that only the rows whose ``update``
+returned ``changed = true`` send.
 """
 from __future__ import annotations
 
@@ -29,11 +39,12 @@ from pyspark.sql import functions as F
 
 @dataclass
 class PregelResult:
-    """Final vertex state plus the per-iteration activity trace.
+    """Final state plus the per-superstep activity trace.
 
-    ``active_per_iter[i]`` is the number of vertices whose state changed
-    in superstep ``i`` — the activity schedule the cluster cost
-    simulator replays (DESIGN.md §1.7).
+    ``active_per_iter[i]`` is the number of state rows that changed in
+    superstep ``i + 1`` (the rows that send in the next superstep), or
+    -1 when the run did not count them (``check_convergence=False``).
+    perfbench sums SSSP's trace as ``sssp.frontier_rows``.
     """
 
     vertices: DataFrame
@@ -41,17 +52,13 @@ class PregelResult:
     active_per_iter: list[int]
 
 
-def _attach_state(edges: DataFrame, vertices: DataFrame, side: str) -> DataFrame:
-    """Join vertex state onto ``edges`` for one endpoint.
-
-    State columns are prefixed ``src_`` / ``dst_`` (vertex ``id`` key
-    excluded).
-    """
-    prefixed = vertices.select(
-        F.col("id").alias(side),
-        *[F.col(c).alias(f"{side}_{c}") for c in vertices.columns if c != "id"],
+def _attach_src(edges: DataFrame, active: DataFrame) -> DataFrame:
+    """Join the active rows onto the arcs leaving them, as ``src``/``src_*``."""
+    prefixed = active.select(
+        F.col("id").alias("src"),
+        *[F.col(c).alias(f"src_{c}") for c in active.columns if c != "id"],
     )
-    return edges.join(prefixed, side)
+    return edges.join(prefixed, "src")
 
 
 def run_pregel(
@@ -62,33 +69,25 @@ def run_pregel(
     update: Callable[[DataFrame], DataFrame],
     *,
     max_iter: int,
-    attach: tuple[str, ...] = ("src",),
     check_convergence: bool = True,
 ) -> PregelResult:
-    """Run BSP supersteps until convergence or ``max_iter``.
+    """Run BSP supersteps until no row changes or ``max_iter``.
 
-    ``vertices`` must have an ``id`` column plus state columns; its
-    state is checkpointed each round. ``attach`` selects which endpoint
-    states ``send`` needs on the edge frame.
+    ``check_convergence=False`` skips the per-superstep count of changed
+    rows, so the run always takes ``max_iter`` supersteps.
     """
     state = vertices.localCheckpoint(eager=True)
-    active: list[int] = []
+    active = state
+    trace: list[int] = []
     it = 0
     for it in range(1, max_iter + 1):
-        e = edges
-        for side in attach:
-            e = _attach_state(e, state, side)
-        msgs = send(e).groupBy("id").agg(agg_expr.alias("msg"))
-        joined = state.join(msgs, "id", "left_outer")
-        new_state = update(joined)
-        new_state = new_state.localCheckpoint(eager=True)
-        if check_convergence:
-            n_changed = new_state.filter(F.col("changed")).count()
-            active.append(n_changed)
-            state = new_state.drop("changed")
-            if n_changed == 0:
-                break
-        else:
-            active.append(-1)
-            state = new_state.drop("changed")
-    return PregelResult(vertices=state, iterations=it, active_per_iter=active)
+        out = send(_attach_src(edges, active))
+        key = [c for c in out.columns if c != "msg"]
+        msgs = out.groupBy(*key).agg(agg_expr.alias("msg"))
+        new_state = update(state.join(msgs, key, "full_outer")).localCheckpoint(eager=True)
+        state = new_state.drop("changed")
+        active = new_state.filter(F.col("changed")).drop("changed")
+        trace.append(active.count() if check_convergence else -1)
+        if trace[-1] == 0:
+            break
+    return PregelResult(vertices=state, iterations=it, active_per_iter=trace)

@@ -1,4 +1,6 @@
 """Connected Components vs a union-find reference."""
+from collections import defaultdict
+
 import pytest
 
 from repro.algos.connected_components import (
@@ -7,6 +9,23 @@ from repro.algos.connected_components import (
     num_components,
 )
 from repro.graph.builders import edges_from_pairs
+
+
+def _sync_label_rounds(pairs):
+    """Per-round label changes of synchronous min-label propagation on
+    the undirected view, where every vertex sends every round; ends
+    with the first round that changes nothing."""
+    nbrs = defaultdict(set)
+    for s, d in pairs:
+        nbrs[s].add(d)
+        nbrs[d].add(s)
+    label = {v: v for v in nbrs}
+    counts = []
+    while not counts or counts[-1]:
+        new = {v: min(label[v], *(label[u] for u in nbrs[v])) for v in label}
+        counts.append(sum(new[v] != label[v] for v in label))
+        label = new
+    return counts
 
 
 def _labels(spark, pairs, max_iter=100):
@@ -63,6 +82,13 @@ class TestIterationBehaviour:
         # label propagation converges: strictly fewer changes at the end
         assert res.active_per_iter[-1] == 0
         assert res.active_per_iter[0] > res.active_per_iter[-2] or res.iterations <= 2
+
+    @pytest.mark.parametrize("graph", ["grid6", "islands"])
+    def test_trace_matches_synchronous_propagation(self, spark, request, graph):
+        # sending only changed labels must not change any round's count
+        pairs = request.getfixturevalue(f"{graph}_pairs")
+        res = connected_components(edges_from_pairs(spark, pairs))
+        assert res.active_per_iter == _sync_label_rounds(pairs)
 
     def test_max_iter_caps(self, spark):
         pairs = [(i, i + 1) for i in range(30)]

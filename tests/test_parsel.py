@@ -40,11 +40,11 @@ PROFILES = {
 class TestMetricRule:
     @pytest.mark.parametrize("algo", ["pr", "cc", "sssp"])
     def test_edge_bound_algos_pick_min_commcost(self, algo):
-        best, _ = select_partitioner(PROFILES, algo, mode="metric")
+        best, _ = select_partitioner(PROFILES, algo)
         assert best == "A"
 
     def test_tr_picks_min_cut(self):
-        best, _ = select_partitioner(PROFILES, "tr", mode="metric")
+        best, _ = select_partitioner(PROFILES, "tr")
         assert best == "B"
 
     def test_metric_rule_mapping(self):
@@ -60,22 +60,18 @@ class TestMetricRule:
             "flat": _profile(10_000, 1000, balance=1.0),
             "skewed": _profile(10_000, 1000, balance=8.0),
         }
-        best, _ = select_partitioner(profs, "pr", mode="metric")
+        best, _ = select_partitioner(profs, "pr")
         assert best == "flat"
 
 
 class TestSimulateMode:
     @pytest.mark.parametrize("algo", ["pr", "cc", "tr", "sssp"])
     def test_matches_brute_force(self, algo):
-        best, scores = select_partitioner(PROFILES, algo, mode="simulate")
+        sel = select_granularity({128: PROFILES}, algo)
         brute = {s: simulate(algo, p) for s, p in PROFILES.items()}
-        assert best == min(brute, key=brute.get)
+        assert (sel.strategy, sel.n_parts) == (min(brute, key=brute.get), 128)
         for s in PROFILES:
-            assert scores[s] == pytest.approx(brute[s])
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            select_partitioner(PROFILES, "pr", mode="vibes")
+            assert sel.scores[(s, 128)] == pytest.approx(brute[s])
 
     def test_granularity_joint_argmin(self):
         by_parts = {
@@ -102,6 +98,11 @@ class TestEndToEnd:
         assert sel.mode == "metric"
         # 2D or DC must beat RVC on CommCost for a social graph (paper)
         assert sel.strategy != "RVC"
+
+    def test_unknown_mode_raises(self):
+        # raised before the edges are touched, so no Spark work is done
+        with pytest.raises(ValueError, match="vibes"):
+            parsel(None, "pr", mode="vibes")
 
     def test_parsel_simulate_mode(self, spark, social_small_edges):
         sel = parsel(

@@ -68,28 +68,27 @@ class TestStateHandling:
         assert labels[3] == 3  # nothing propagates *into* 3 (min flows down)
         assert labels[1] == 1 and labels[2] == 1
 
-    def test_attach_dst_state(self, spark):
-        # engine can attach destination state too: count in-neighbours
-        # with a bigger label than the dst's
-        e = edges_from_pairs(spark, [(5, 1), (4, 1), (0, 1)])
-        init = vertices(e).select("id", F.col("id").cast("double").alias("val"))
+    def test_only_changed_rows_send(self, spark):
+        # every row sends in superstep 1; a row whose update reports no
+        # change sends nothing after that, so summed in-arcs are added
+        # once, not once per superstep
+        pairs = [(5, 1), (4, 1), (0, 1), (1, 2), (5, 2)]
+        e = edges_from_pairs(spark, pairs)
+        init = vertices(e).select("id", F.lit(0).alias("val"))
 
         def send(edge_df):
-            return edge_df.select(
-                F.col("dst").alias("id"),
-                F.when(F.col("src_val") > F.col("dst_val"), 1.0).otherwise(0.0).alias("msg"),
-            )
+            return edge_df.select(F.col("dst").alias("id"), F.lit(1).alias("msg"))
 
         def update(joined):
             return joined.select(
                 "id",
-                F.coalesce(F.col("msg"), F.lit(0.0)).alias("val"),
+                (F.col("val") + F.coalesce(F.col("msg"), F.lit(0))).alias("val"),
                 F.lit(False).alias("changed"),
             )
 
         res = run_pregel(
-            init, e, send, F.sum("msg"), update, max_iter=1,
-            attach=("src", "dst"), check_convergence=True,
+            init, e, send, F.sum("msg"), update, max_iter=3, check_convergence=False,
         )
         vals = {r["id"]: r["val"] for r in res.vertices.collect()}
-        assert vals[1] == 2.0  # 5 and 4 exceed 1; 0 does not
+        assert vals == {0: 0, 1: 3, 2: 2, 4: 0, 5: 0}  # in-degrees
+        assert res.iterations == 3

@@ -1,4 +1,6 @@
 """SSSP (shortest paths to landmarks) vs a BFS reference."""
+from collections import Counter
+
 import pytest
 
 from repro.algos.sssp import sssp, sssp_reference
@@ -65,3 +67,14 @@ class TestSemantics:
         trace = res.active_per_iter
         assert trace[-1] == 0
         assert max(trace) >= trace[0]
+
+    @pytest.mark.parametrize("graph,landmarks", [("grid6", [0]), ("er", [0, 7, 13])])
+    def test_trace_is_bfs_level_sizes(self, spark, request, graph, landmarks):
+        # superstep t reaches exactly the pairs at BFS depth t, then one
+        # quiet superstep detects the fixpoint
+        pairs = request.getfixturevalue(f"{graph}_pairs")
+        _, res = _dists(spark, pairs, landmarks)
+        levels = Counter(
+            d for l in landmarks for d in sssp_reference(pairs, l).values() if d > 0
+        )
+        assert res.active_per_iter == [levels[d] for d in range(1, max(levels) + 1)] + [0]
