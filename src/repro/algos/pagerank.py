@@ -14,7 +14,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.builders import degrees, vertices
+from repro.graph.builders import degrees
 from repro.graph.pregel import PregelResult, run_pregel
 
 RESET_PROB = 0.15
@@ -28,12 +28,7 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_
     budget — the paper calls it communication-bound for exactly this
     reason), so changes are not counted: ``active_per_iter`` is all -1.
     """
-    deg = degrees(edges).select("id", "out_deg")
-    init = vertices(edges).join(deg, "id", "left_outer").select(
-        "id",
-        F.lit(1.0).alias("rank"),
-        F.coalesce("out_deg", F.lit(0)).alias("out_deg"),
-    )
+    init = degrees(edges).select("id", F.lit(1.0).alias("rank"), "out_deg")
 
     def send(e: DataFrame) -> DataFrame:
         return e.select(

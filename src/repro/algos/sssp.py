@@ -13,6 +13,7 @@ matching a BFS from the source on the directed graph.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -25,10 +26,17 @@ def sssp(edges: DataFrame, landmarks: list[int], *, max_iter: int = 50) -> Prege
     State is the long frame ``(id, landmark, dist)`` holding only
     *reached* pairs, keyed by ``(id, landmark)``; a pair whose distance
     improved relaxes its out-arcs in the next superstep. Iterates until
-    no distance improves or ``max_iter``.
+    no distance improves or ``max_iter``. A repeated landmark is run
+    once; no landmarks give an empty result.
     """
+    ids = sorted({int(l) for l in landmarks})
+    # A pandas frame goes through Arrow without starting Python workers;
+    # the schema is given because Arrow cannot infer one from no rows.
     init = edges.sparkSession.createDataFrame(
-        [(int(l), int(l), 0) for l in landmarks], "id long, landmark long, dist int"
+        pd.DataFrame({"id": ids, "landmark": ids, "dist": 0}).astype(
+            {"id": "int64", "landmark": "int64", "dist": "int32"}
+        ),
+        "id long, landmark long, dist int",
     )
 
     def send(e: DataFrame) -> DataFrame:

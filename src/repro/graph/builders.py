@@ -82,23 +82,23 @@ def degrees(edges: DataFrame) -> DataFrame:
 
     Vertices that only appear on one side get 0 for the other side —
     these are exactly the paper's "ZeroIn"/"ZeroOut" leaf vertices.
+    Degrees count the multiset of arcs: a duplicate arc counts twice and
+    a self-loop once on each side. Each arc is exploded into its two
+    endpoints, tagged with the side, so one aggregation (one shuffle)
+    yields all three degrees.
     """
-    out_d = edges.groupBy(F.col("src").alias("id")).agg(
-        F.count(F.lit(1)).alias("out_deg")
-    )
-    in_d = edges.groupBy(F.col("dst").alias("id")).agg(
-        F.count(F.lit(1)).alias("in_deg")
-    )
-    return (
-        out_d.join(in_d, "id", "full_outer")
-        .select(
-            "id",
-            F.coalesce("in_deg", F.lit(0)).alias("in_deg"),
-            F.coalesce("out_deg", F.lit(0)).alias("out_deg"),
-            (F.coalesce("in_deg", F.lit(0)) + F.coalesce("out_deg", F.lit(0))).alias(
-                "deg"
-            ),
+    ends = edges.select(
+        F.inline(
+            F.array(
+                F.struct(F.col("src").alias("id"), F.lit(True).alias("out")),
+                F.struct(F.col("dst").alias("id"), F.lit(False).alias("out")),
+            )
         )
+    )
+    return ends.groupBy("id").agg(
+        F.count_if(~F.col("out")).alias("in_deg"),
+        F.count_if(F.col("out")).alias("out_deg"),
+        F.count(F.lit(1)).alias("deg"),
     )
 
 

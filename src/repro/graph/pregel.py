@@ -4,7 +4,9 @@ GraphX maps BSP supersteps onto RDD joins and aggregations; we do the
 same with DataFrames. Each superstep joins the *active* state rows onto
 the arcs leaving them, emits messages, reduces them per key, and merges
 the reduced message into the state. Lineage is truncated every superstep
-with ``localCheckpoint`` so 10–50 supersteps stay tractable.
+with ``localCheckpoint`` so 10–50 supersteps stay tractable; the rows
+that changed are counted with ``DataFrame.observe`` on that same
+checkpoint job, so a superstep costs one Spark action.
 
 The state frame has an ``id`` column (the vertex) plus state columns; a
 vertex may own several rows, e.g. one per SSSP landmark. Callers provide
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 
@@ -42,8 +44,9 @@ class PregelResult:
     """Final state plus the per-superstep activity trace.
 
     ``active_per_iter[i]`` is the number of state rows that changed in
-    superstep ``i + 1`` (the rows that send in the next superstep), or
-    -1 when the run did not count them (``check_convergence=False``).
+    superstep ``i + 1`` (the rows that send in the next superstep),
+    observed on that superstep's checkpoint job, or -1 when the run did
+    not count them (``check_convergence=False``).
     perfbench sums SSSP's trace as ``sssp.frontier_rows``.
     """
 
@@ -73,8 +76,10 @@ def run_pregel(
 ) -> PregelResult:
     """Run BSP supersteps until no row changes or ``max_iter``.
 
-    ``check_convergence=False`` skips the per-superstep count of changed
-    rows, so the run always takes ``max_iter`` supersteps.
+    Each superstep is one Spark action, the ``localCheckpoint`` of the
+    new state; with ``check_convergence`` an ``observe`` on that job
+    counts the changed rows. ``check_convergence=False`` skips the
+    count, so the run always takes ``max_iter`` supersteps.
     """
     state = vertices.localCheckpoint(eager=True)
     active = state
@@ -84,10 +89,14 @@ def run_pregel(
         out = send(_attach_src(edges, active))
         key = [c for c in out.columns if c != "msg"]
         msgs = out.groupBy(*key).agg(agg_expr.alias("msg"))
-        new_state = update(state.join(msgs, key, "full_outer")).localCheckpoint(eager=True)
+        new_state = update(state.join(msgs, key, "full_outer"))
+        if check_convergence:
+            changed = Observation()
+            new_state = new_state.observe(changed, F.count_if("changed").alias("n"))
+        new_state = new_state.localCheckpoint(eager=True)
         state = new_state.drop("changed")
         active = new_state.filter(F.col("changed")).drop("changed")
-        trace.append(active.count() if check_convergence else -1)
+        trace.append(changed.get["n"] if check_convergence else -1)
         if trace[-1] == 0:
             break
     return PregelResult(vertices=state, iterations=it, active_per_iter=trace)

@@ -22,12 +22,14 @@ three mechanisms the paper uses to explain its results:
    experiment).
 
 Activity schedules: PR is all-active for 10 rounds; CC decays
-geometrically (most labels converge after a few rounds); SSSP is a
-frontier wave. When only a fraction *f* of vertices is active the
-active work is *clustered*, so same-size partitions become
-load-imbalanced at runtime — the paper's stated reason fine-grain CC
-wins on big graphs. We model that with a deterministic per-(pid, iter)
-load jitter whose coefficient of variation grows as activity falls.
+geometrically (the paper: most labels converge after a few rounds; the
+engine's trace on the synthetic road grids does not, see
+``activity_schedule``); SSSP is a frontier wave. When only a fraction
+*f* of vertices is active the active work is *clustered*, so same-size
+partitions become load-imbalanced at runtime — the paper's stated
+reason fine-grain CC wins on big graphs. We model that with a
+deterministic per-(pid, iter) load jitter whose coefficient of
+variation grows as activity falls.
 
 All constants are in arbitrary units; only ratios matter, and the
 defaults are calibrated so the paper's *relative* claims can be tested
@@ -106,8 +108,13 @@ def activity_schedule(algo: str, *, n_iter: int = 10, diameter: int = 12) -> lis
     """Fraction of vertices active per superstep, per algorithm.
 
     - ``pr``: static PageRank — every vertex recomputes every round.
-    - ``cc``: label propagation — geometric convergence (the paper:
-      "the values of most vertices converge very fast").
+    - ``cc``: label propagation — geometric decay ``0.6^t``, after the
+      paper's "the values of most vertices converge very fast". The
+      engine's measured trace does not always decay so: on test-tier
+      roadnet-ca over 85 % of labels change for the first 15
+      supersteps and the fixpoint comes at superstep 64. The claims
+      C1–C8 are calibrated on this schedule; replacing it with
+      measured traces is ROADMAP item 5.
     - ``sssp``: BFS frontier wave over ``diameter`` rounds — ramps up,
       peaks, drains.
     - ``tr``: a single heavy round (handled specially in compute).

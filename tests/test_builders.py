@@ -1,4 +1,7 @@
 """Tests for repro.graph.builders — the edge-frame substrate."""
+import re
+
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -86,6 +89,35 @@ class TestDegrees:
         e = edges_from_pairs(spark, [(1, 2), (1, 3)])
         d = {r["id"]: r["in_deg"] for r in degrees(e).collect()}
         assert d[1] == 0
+
+    def test_degrees_vs_pandas(self, spark):
+        # self-loop 3->3, duplicate 1->3, 4 only as dst, 5 only as src
+        pairs = [(1, 2), (2, 1), (1, 3), (3, 3), (1, 3), (2, 4), (5, 1)]
+        arcs = pd.DataFrame(pairs, columns=["src", "dst"])
+        want = (
+            pd.DataFrame(
+                {"in_deg": arcs["dst"].value_counts(), "out_deg": arcs["src"].value_counts()}
+            )
+            .fillna(0)
+            .astype("int64")
+            .rename_axis("id")
+            .reset_index()
+            .sort_values("id", ignore_index=True)
+        )
+        want["deg"] = want["in_deg"] + want["out_deg"]
+        got = degrees(edges_from_pairs(spark, pairs)).toPandas()
+        pd.testing.assert_frame_equal(got.sort_values("id", ignore_index=True), want)
+
+    def test_one_exchange(self, spark, er_edges):
+        # one aggregation over both endpoints: a single shuffle. Adaptive
+        # execution wraps the plan until it runs, so it is off here.
+        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        try:
+            plan = degrees(er_edges)._jdf.queryExecution().executedPlan().toString()
+        finally:
+            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+        assert len(re.findall(r"(?<!\w)Exchange ", plan)) == 1, plan
 
     def test_degree_sum_equals_arcs(self, er_edges):
         row = degrees(er_edges).agg(F.sum("in_deg").alias("i"), F.sum("out_deg").alias("o")).first()

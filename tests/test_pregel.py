@@ -92,3 +92,25 @@ class TestStateHandling:
         vals = {r["id"]: r["val"] for r in res.vertices.collect()}
         assert vals == {0: 0, 1: 3, 2: 2, 4: 0, 5: 0}  # in-degrees
         assert res.iterations == 3
+
+
+class TestJobs:
+    def test_one_job_per_superstep(self, spark):
+        """With convergence checks, a run submits the initial checkpoint
+        plus one checkpoint job per superstep; the changed rows are
+        counted on that job, not by a job of their own. Adaptive
+        execution submits every shuffle stage as a job of its own, so it
+        is off here: then every job is one action."""
+        e = edges_from_pairs(spark, [(i, i + 1) for i in range(5)])
+        sc = spark.sparkContext
+        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        sc.setJobGroup("pregel-jobs", "count the jobs of one run_pregel call")
+        try:
+            res = _min_propagation(e)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+        assert res.active_per_iter == [5, 4, 3, 2, 1, 0]
+        jobs = sc.statusTracker().getJobIdsForGroup("pregel-jobs")
+        assert len(jobs) == res.iterations + 1

@@ -68,6 +68,19 @@ class TestSemantics:
         assert trace[-1] == 0
         assert max(trace) >= trace[0]
 
+    def test_repeated_landmark_runs_once(self, spark):
+        e = edges_from_pairs(spark, [(1, 2), (2, 3), (3, 1)])
+        twice, once = sssp(e, [1, 1]), sssp(e, [1])
+        assert sorted(twice.vertices.collect()) == sorted(once.vertices.collect())
+        assert twice.vertices.count() == 3
+        assert twice.active_per_iter == once.active_per_iter
+
+    def test_no_landmarks(self, spark):
+        res = sssp(edges_from_pairs(spark, [(1, 2), (2, 3)]), [])
+        assert res.vertices.collect() == []
+        assert res.vertices.dtypes == [("id", "bigint"), ("landmark", "bigint"), ("dist", "int")]
+        assert res.active_per_iter == [0]
+
     @pytest.mark.parametrize("graph,landmarks", [("grid6", [0]), ("er", [0, 7, 13])])
     def test_trace_is_bfs_level_sizes(self, spark, request, graph, landmarks):
         # superstep t reaches exactly the pairs at BFS depth t, then one
