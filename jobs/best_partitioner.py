@@ -3,7 +3,7 @@
 - simulated runtime per (dataset, strategy, granularity),
 - best partitioner per (dataset, granularity),
 - Pearson correlation of time vs every metric per granularity,
-- fine-vs-coarse granularity speedups.
+- fine-vs-coarse granularity speedups (only when given two granularities).
 
 Usage: python jobs/best_partitioner.py --algo pr [--tier bench]
        [--parts 128,256] [--out prefix]
@@ -42,11 +42,12 @@ def main() -> None:
         pre and f"{pre}_corr.csv",
         title=f"{args.algo.upper()}: Pearson r (time vs metric)",
     )
-    emit(
-        granularity_table(runs),
-        pre and f"{pre}_gran.csv",
-        title=f"{args.algo.upper()}: fine (256) vs coarse (128) speedup",
-    )
+    if len(set(parts)) == 2:
+        emit(
+            granularity_table(runs),
+            pre and f"{pre}_gran.csv",
+            title=f"{args.algo.upper()}: fine (256) vs coarse (128) speedup",
+        )
     spark.stop()
 
 

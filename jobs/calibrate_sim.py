@@ -1,9 +1,9 @@
 """Check the paper's claims (§4 C1–C8, PARSEL, Tables 2/3) on the run tables.
 
-Builds the four algorithms' run tables, the infra table and the PARSEL
-table from the shared profile grid (Spark profiles only the cells
-missing from the cache), prints ``claims_table`` and exits 1 if any
-claim fails. The claims and their thresholds are documented in
+Builds the four algorithms' run tables and the infra table from the
+shared profile grid (Spark profiles only the cells missing from the
+cache), prints ``claims_table`` (which scores PARSEL on the run tables)
+and exits 1 if any claim fails. The claims and their thresholds are documented in
 ``repro.experiments.tables.claims_table``.
 
 Usage: python jobs/calibrate_sim.py [--tier bench]
@@ -13,7 +13,7 @@ import sys
 
 from _common import emit, get_spark
 
-from repro.experiments.tables import claims_table, infra_table, parsel_table, runtime_table
+from repro.experiments.tables import claims_table, infra_table, runtime_table
 
 
 def main() -> None:
@@ -22,9 +22,7 @@ def main() -> None:
     args = ap.parse_args()
     spark = get_spark("calibrate_sim")
     runs = {algo: runtime_table(spark, algo, tier=args.tier) for algo in ("pr", "cc", "tr", "sssp")}
-    claims = claims_table(
-        runs, infra_table(spark, tier=args.tier), parsel_table(spark, tier=args.tier)
-    )
+    claims = claims_table(runs, infra_table(spark, tier=args.tier))
     spark.stop()
     emit(claims, title=f"Paper claims (tier={args.tier})")
     print(f"\n{claims.ok.sum()}/{len(claims)} claims hold")

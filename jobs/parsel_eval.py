@@ -1,13 +1,16 @@
 """Evaluate PARSEL: metric-heuristic pick vs simulated optimum for every
 (algorithm, dataset, granularity) cell; regret 0 % = picked the winner.
 
+Builds the four algorithms' run tables (``runtime_table``) and reads
+the picks and the simulated best off them (``parsel_table``).
+
 Usage: python jobs/parsel_eval.py [--tier bench] [--out csv]
 """
 import argparse
 
 from _common import emit, get_spark
 
-from repro.experiments.tables import parsel_table
+from repro.experiments.tables import parsel_table, runtime_table
 
 
 def main() -> None:
@@ -16,7 +19,8 @@ def main() -> None:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
     spark = get_spark("parsel_eval")
-    t = parsel_table(spark, tier=args.tier)
+    runs = {algo: runtime_table(spark, algo, tier=args.tier) for algo in ("pr", "cc", "tr", "sssp")}
+    t = parsel_table(runs)
     emit(t, args.out, title="PARSEL pick vs simulated best")
     print(
         f"\nmean regret: {t.regret_pct.mean():.2f}%  "

@@ -34,11 +34,11 @@ def pearson(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-def metric_time_correlations(runs: pd.DataFrame, *, time_col: str = "time") -> pd.Series:
+def metric_time_correlations(runs: pd.DataFrame) -> pd.Series:
     """Pearson r between ``time`` and each metric across all runs.
 
     ``runs`` is tidy: one row per (dataset, strategy[, n_parts]) with
-    metric columns and a time column — exactly what the best-partitioner
+    metric columns and a ``time`` column — exactly what the best-partitioner
     harness emits. Matches the paper's procedure: raw values pooled
     across datasets and partitioners (big graphs dominate, which is why
     PR's time-vs-CommCost lands in the 90s).
@@ -46,5 +46,5 @@ def metric_time_correlations(runs: pd.DataFrame, *, time_col: str = "time") -> p
     out = {}
     for m in METRIC_COLS:
         if m in runs.columns:
-            out[m] = pearson(runs[m], runs[time_col])
+            out[m] = pearson(runs[m], runs["time"])
     return pd.Series(out, name="pearson_r")

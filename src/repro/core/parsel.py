@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame
 
 from repro.graph.partitioners import PAPER_STRATEGIES, partition_edges
 from repro.metrics.partition_metrics import profile_cells
-from repro.simcluster.cost_model import ClusterSpec, PartitionProfile, simulate
+from repro.simcluster.cost_model import PartitionProfile, simulate
 
 #: The paper's metric-per-algorithm rule (§4, final paragraph).
 METRIC_FOR_ALGO = {"pr": "comm_cost", "cc": "comm_cost", "sssp": "comm_cost", "tr": "cut"}
@@ -40,36 +40,34 @@ class Selection:
     mode: str
 
 
-def _metric_score(prof: PartitionProfile, algo: str) -> float:
-    m = prof.metrics
+def _metric_score(m, algo: str) -> float:
     primary = getattr(m, METRIC_FOR_ALGO[algo.lower()])
     # Balance breaks ties: between near-equal cuts prefer the flatter
     # partitioning (the paper's 1D-vs-SC observations).
     return float(primary) * (1.0 + 0.01 * (m.balance - 1.0))
 
 
-def select_partitioner(profiles: dict[str, PartitionProfile], algo: str) -> tuple[str, dict[str, float]]:
-    """Pick the best strategy among pre-computed partition profiles by
-    the paper's per-algorithm metric rule (no simulation)."""
-    scores = {s: _metric_score(p, algo) for s, p in profiles.items()}
+def select_partitioner(metrics: dict, algo: str) -> tuple[str, dict[str, float]]:
+    """Pick the best strategy by the paper's per-algorithm metric rule
+    (no simulation).
+
+    ``metrics`` maps each strategy to a record with ``comm_cost``,
+    ``cut`` and ``balance`` attributes: a ``PartitionMetrics`` or a
+    run-table row (``itertuples``). Ties go to the first strategy.
+    """
+    scores = {s: _metric_score(m, algo) for s, m in metrics.items()}
     return min(scores, key=scores.get), scores
 
 
 def select_granularity(
-    profiles_by_parts: dict[int, dict[str, PartitionProfile]],
-    algo: str,
-    *,
-    spec: ClusterSpec = ClusterSpec(),
-    n_iter: int = 10,
-    diameter: int = 12,
+    profiles_by_parts: dict[int, dict[str, PartitionProfile]], algo: str
 ) -> Selection:
-    """Choose (strategy, n_parts) jointly by simulating every candidate."""
+    """Choose (strategy, n_parts) jointly by simulating every candidate
+    on the default cluster (``simulate``'s defaults)."""
     scores: dict = {}
     for n_parts, profs in profiles_by_parts.items():
         for s, p in profs.items():
-            scores[(s, n_parts)] = simulate(
-                algo, p, spec, n_iter=n_iter, diameter=diameter
-            )
+            scores[(s, n_parts)] = simulate(algo, p)
     (best_s, best_n) = min(scores, key=scores.get)
     return Selection(strategy=best_s, n_parts=best_n, scores=scores, mode="simulate")
 
@@ -81,9 +79,6 @@ def parsel(
     parts_candidates: tuple[int, ...] = (128, 256),
     strategies: tuple[str, ...] = PAPER_STRATEGIES,
     mode: str = "simulate",
-    spec: ClusterSpec = ClusterSpec(),
-    n_iter: int = 10,
-    diameter: int = 12,
 ) -> Selection:
     """End-to-end selector: partition, profile, and score every candidate.
 
@@ -104,13 +99,13 @@ def parsel(
     profiles_by_parts = {n: {s: profiles[(s, n)] for s in strategies} for n in use_parts}
     if mode == "metric":
         n_parts = use_parts[0]
-        best, scores = select_partitioner(profiles_by_parts[n_parts], algo)
+        best, scores = select_partitioner(
+            {s: p.metrics for s, p in profiles_by_parts[n_parts].items()}, algo
+        )
         return Selection(
             strategy=best,
             n_parts=n_parts,
             scores={(s, n_parts): v for s, v in scores.items()},
             mode="metric",
         )
-    return select_granularity(
-        profiles_by_parts, algo, spec=spec, n_iter=n_iter, diameter=diameter
-    )
+    return select_granularity(profiles_by_parts, algo)

@@ -7,18 +7,23 @@ outputs next to the paper's numbers.
 The expensive shared artifact is the **profile grid** — partition
 metrics + per-partition loads for every (dataset, strategy, n_parts)
 cell. It is computed once with Spark and cached on disk (npz), because
-Tables 2/3, all four best-partitioner tables, the correlation tables,
-PARSEL evaluation and the infra experiment all read the same grid.
+Tables 2/3 and every run table read the same grid.
 
-``claims_table`` turns the run tables into the paper's claims, one row
-each with a pass/fail verdict; ``jobs/calibrate_sim.py`` and
-``tests/test_claims.py`` fail when a row does.
+``runtime_table`` is the only builder that turns profiles into
+simulated times. The best-partitioner, correlation, granularity and
+PARSEL tables are pandas over run tables, and the infra table is one
+run table per cluster configuration. ``claims_table`` turns the run
+tables into the paper's claims, one row each with a pass/fail verdict;
+``jobs/calibrate_sim.py`` and ``tests/test_claims.py`` fail when a row
+does.
 """
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +57,8 @@ from repro.simcluster.cost_model import (
     simulate,
 )
 
-#: The modules a cached profile is computed from. Their source bytes and
+#: The modules a cached profile is computed from. Their code (the syntax
+#: tree without docstrings, so comments and docstrings do not count) and
 #: the numpy and pyspark versions key every cache file, so a change to a
 #: generator, a partitioner or the profile derivation (or its npz format)
 #: never reuses a stale profile.
@@ -135,12 +141,27 @@ def table1(spark: SparkSession, *, tier: str = "test", datasets=DATASET_ORDER) -
 # ------------------------------------------------- profile grid (shared)
 
 
-def _cache_path(dataset: str, tier: str, strategy: str, n_parts: int) -> Path:
-    # The name says which cell this is; the digest says which code made it.
+def _code_digest() -> str:
+    """Digest of the keyed modules' code and the numpy/pyspark versions.
+
+    A module's code is ``ast.dump`` of its syntax tree without the
+    module, class and function docstrings.
+    """
     h = hashlib.sha256(f"numpy {np.__version__} pyspark {pyspark.__version__}".encode())
     for path in KEYED_MODULES:
-        h.update(path.read_bytes())
-    return CACHE_DIR / f"{dataset}_{tier}_{strategy}_{n_parts}_{h.hexdigest()[:16]}.npz"
+        tree = ast.parse(path.read_bytes())
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and ast.get_docstring(node, clean=False) is not None:
+                node.body = node.body[1:]
+        h.update(ast.dump(tree).encode())
+    return h.hexdigest()[:16]
+
+
+def _cache_path(digest: str, dataset: str, tier: str, strategy: str, n_parts: int) -> Path:
+    # The name says which cell this is; the digest says which code made it.
+    return CACHE_DIR / f"{dataset}_{tier}_{strategy}_{n_parts}_{digest}.npz"
 
 
 def profile_grid(
@@ -157,10 +178,11 @@ def profile_grid(
     The uncached cells of each dataset are profiled together in one
     Spark job (``profile_cells``).
     """
+    digest = _code_digest()
     grid: dict[tuple[str, str, int], PartitionProfile] = {}
     for name in datasets:
         keys = [(name, s, n) for n in parts for s in strategies]
-        paths = {k: _cache_path(name, tier, k[1], k[2]) for k in keys}
+        paths = {k: _cache_path(digest, name, tier, k[1], k[2]) for k in keys}
         found = {k: load_profile(paths[k]) for k in keys if use_cache and paths[k].exists()}
         missing = [k for k in keys if k not in found]
         if missing:
@@ -185,12 +207,10 @@ def metrics_table(
     tier: str = "bench",
     datasets=DATASET_ORDER,
     strategies=PAPER_STRATEGIES,
-    use_cache: bool = True,
 ) -> pd.DataFrame:
     """Paper Table 2 (128 partitions) / Table 3 (256): metrics grid."""
     grid = profile_grid(
-        spark, tier=tier, datasets=datasets, strategies=strategies, parts=(n_parts,),
-        use_cache=use_cache,
+        spark, tier=tier, datasets=datasets, strategies=strategies, parts=(n_parts,)
     )
     rows = []
     for name in datasets:
@@ -222,19 +242,17 @@ def runtime_table(
     strategies=PAPER_STRATEGIES,
     parts=(128, 256),
     spec: ClusterSpec = ClusterSpec(),
-    use_cache: bool = True,
 ) -> pd.DataFrame:
     """Tidy table: simulated time + metrics per (dataset, strategy, parts).
 
-    This is the data behind Figures 3–6 and all §4 prose claims.
-    ``datasets`` defaults to those the paper runs ``algo`` on.
+    This is the data behind Figures 3–6 and all §4 prose claims, and the
+    only place a profile becomes a simulated time. ``datasets`` defaults
+    to those the paper runs ``algo`` on; ``spec`` is the simulated
+    cluster.
     """
     algo = algo.lower()
     datasets = _algo_datasets(algo, datasets)
-    grid = profile_grid(
-        spark, tier=tier, datasets=datasets, strategies=strategies, parts=parts,
-        use_cache=use_cache,
-    )
+    grid = profile_grid(spark, tier=tier, datasets=datasets, strategies=strategies, parts=parts)
     rows = []
     for name in datasets:
         for n_parts in parts:
@@ -281,9 +299,12 @@ def granularity_table(runs: pd.DataFrame) -> pd.DataFrame:
 
     Positive pct = configuration (ii) (fine) is faster, as the paper
     reports for CC (up to 22 %) and TR (up to 40 %); negative = coarse
-    wins, as for PR.
+    wins, as for PR. ``runs`` must hold exactly two granularities, else
+    ``ValueError``.
     """
     best = runs.groupby(["dataset", "n_parts"])["time"].min().unstack("n_parts")
+    if len(best.columns) != 2:
+        raise ValueError(f"granularity_table needs two granularities, got {sorted(best.columns)}")
     coarse, fine = sorted(best.columns)
     out = pd.DataFrame(
         {
@@ -304,97 +325,76 @@ def infra_table(
     tier: str = "bench",
     dataset: str = "follow-dec",
     strategy: str = "2D",
-    use_cache: bool = True,
 ) -> pd.DataFrame:
     """PR on follow-dec under the paper's infra configs (ii)/(iii)/(iv).
 
     (ii) 1 Gbps + HDD, (iii) 40 Gbps + HDD, (iv) 40 Gbps + local SSD;
     all at 256 partitions. The paper reports −15 % and −20 % vs (ii).
+    Each config's time is one cell of a ``runtime_table``.
     """
-    n_parts = CONFIG_PARTS["ii"]
-    prof = profile_grid(
-        spark, tier=tier, datasets=(dataset,), strategies=(strategy,), parts=(n_parts,),
-        use_cache=use_cache,
-    )[(dataset, strategy, n_parts)]
-    base = ClusterSpec()
     configs = {
-        "ii (1Gbps, HDD)": base,
-        "iii (40Gbps, HDD)": base.with_infra(net_gbps=40.0),
-        "iv (40Gbps, SSD)": base.with_infra(net_gbps=40.0, ssd=True),
+        "ii (1Gbps, HDD)": ClusterSpec(),
+        "iii (40Gbps, HDD)": replace(ClusterSpec(), net_gbps=40.0),
+        "iv (40Gbps, SSD)": replace(ClusterSpec(), net_gbps=40.0, ssd=True),
     }
-    t_ref = simulate("pr", prof, configs["ii (1Gbps, HDD)"], n_iter=10)
-    rows = []
-    for cname, cspec in configs.items():
-        t = simulate("pr", prof, cspec, n_iter=10)
-        rows.append(
-            dict(
-                config=cname,
-                time=t,
-                delta_vs_ii_pct=round(100.0 * (t - t_ref) / t_ref, 1),
-            )
-        )
-    return pd.DataFrame(rows)
+    times = {
+        cname: runtime_table(
+            spark, "pr", tier=tier, datasets=(dataset,), strategies=(strategy,),
+            parts=(CONFIG_PARTS["ii"],), spec=cspec,
+        )["time"].item()
+        for cname, cspec in configs.items()
+    }
+    t_ref = times["ii (1Gbps, HDD)"]
+    return pd.DataFrame(
+        [
+            dict(config=cname, time=t, delta_vs_ii_pct=round(100.0 * (t - t_ref) / t_ref, 1))
+            for cname, t in times.items()
+        ]
+    )
 
 
 # ----------------------------------------------------------- PARSEL eval
 
 
-def parsel_table(
-    spark: SparkSession,
-    *,
-    tier: str = "bench",
-    datasets=None,
-    strategies=PAPER_STRATEGIES,
-    parts=(128, 256),
-    use_cache: bool = True,
-) -> pd.DataFrame:
-    """PARSEL's pick vs the simulated-best, per (algorithm, dataset).
+def parsel_table(runs: dict[str, pd.DataFrame]) -> pd.DataFrame:
+    """PARSEL's pick vs the simulated-best, per (algorithm, dataset, n_parts).
 
-    ``regret_pct`` is how much slower PARSEL's metric-heuristic pick is
-    than the true (simulated) optimum — 0.0 means it picked the winner.
+    ``runs`` maps each algorithm to its ``runtime_table``. The pick is
+    the paper's metric rule (``select_partitioner``) over the cell's
+    metric columns; the best is the cell's minimum ``time``.
+    ``regret_pct`` is how much slower the pick is than the best — 0.0
+    means it picked the winner.
     """
     rows = []
-    for algo in ("pr", "cc", "tr", "sssp"):
-        ds = _algo_datasets(algo, datasets)
-        grid = profile_grid(
-            spark, tier=tier, datasets=ds, strategies=strategies, parts=parts,
-            use_cache=use_cache,
-        )
-        for name in ds:
-            for n_parts in parts:
-                profs = {s: grid[(name, s, n_parts)] for s in strategies}
-                pick, _ = select_partitioner(profs, algo)
-                times = {
-                    s: simulate(algo, p, n_iter=10, diameter=_sssp_diameter(name))
-                    for s, p in profs.items()
-                }
-                best = min(times, key=times.get)
-                regret = 100.0 * (times[pick] - times[best]) / times[best]
-                rows.append(
-                    dict(
-                        algo=algo,
-                        dataset=name,
-                        n_parts=n_parts,
-                        parsel_pick=pick,
-                        sim_best=best,
-                        regret_pct=round(regret, 2),
-                        metric_used=METRIC_FOR_ALGO[algo],
-                    )
+    for algo, table in runs.items():
+        for (name, n_parts), cell in table.groupby(["dataset", "n_parts"], sort=False):
+            pick, _ = select_partitioner(dict(zip(cell.strategy, cell.itertuples())), algo)
+            times = dict(zip(cell.strategy, cell.time.tolist()))
+            best = min(times, key=times.get)
+            regret = 100.0 * (times[pick] - times[best]) / times[best]
+            rows.append(
+                dict(
+                    algo=algo,
+                    dataset=name,
+                    n_parts=n_parts,
+                    parsel_pick=pick,
+                    sim_best=best,
+                    regret_pct=round(regret, 2),
+                    metric_used=METRIC_FOR_ALGO[algo],
                 )
+            )
     return pd.DataFrame(rows)
 
 
 # ---------------------------------------------------------- paper claims
 
 
-def claims_table(
-    runs: dict[str, pd.DataFrame], infra: pd.DataFrame, parsel: pd.DataFrame
-) -> pd.DataFrame:
+def claims_table(runs: dict[str, pd.DataFrame], infra: pd.DataFrame) -> pd.DataFrame:
     """The paper's findings as checked claims, one row each.
 
     ``runs`` maps ``pr``/``cc``/``tr``/``sssp`` to that algorithm's
-    ``runtime_table``; ``infra`` and ``parsel`` are ``infra_table`` and
-    ``parsel_table``, all on the same grid. Returns
+    ``runtime_table`` and ``infra`` is ``infra_table``; the PARSEL rows
+    are scored on ``parsel_table(runs)``. Returns
     ``(claim, ours, target, ok)``: the measured value, the claim with its
     threshold, and whether it holds.
 
@@ -473,7 +473,7 @@ def claims_table(
         -25 <= d4 < d3 <= -8,
     )
 
-    regret = parsel["regret_pct"]
+    regret = parsel_table(runs)["regret_pct"]
     claim(
         "P1",
         "parsel: regret >= 0 in every cell",

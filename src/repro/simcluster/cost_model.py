@@ -81,15 +81,6 @@ class ClusterSpec:
         """Serial wire cost per sync message at the configured bandwidth."""
         return self.t_msg_net / self.net_gbps
 
-    def with_infra(self, *, net_gbps: float | None = None, ssd: bool | None = None) -> "ClusterSpec":
-        """The paper's infra configs (iii)/(iv): faster net / local SSD."""
-        kw = {}
-        if net_gbps is not None:
-            kw["net_gbps"] = net_gbps
-        if ssd is not None:
-            kw["ssd"] = ssd
-        return replace(self, **kw)
-
 
 #: Configuration (i)/(ii) of the paper: granularity in partitions.
 CONFIG_PARTS = {"i": 128, "ii": 256}

@@ -16,7 +16,7 @@ CLAIMS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "P1", "P2", "T1", "T2"
 @pytest.fixture(scope="module")
 def tables(spark):
     runs = {algo: T.runtime_table(spark, algo, tier="bench") for algo in ("pr", "cc", "tr", "sssp")}
-    return runs, T.infra_table(spark, tier="bench"), T.parsel_table(spark, tier="bench")
+    return runs, T.infra_table(spark, tier="bench")
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +35,13 @@ def test_claim_holds(claims, claim):
 
 
 def test_tr_tracking_commcost_fails_c3(tables):
-    runs, infra, parsel = tables
+    runs, infra = tables
     tr = runs["tr"]
     broken = {**runs, "tr": tr.assign(time=tr.comm_cost.astype(float))}
-    assert not T.claims_table(broken, infra, parsel).set_index("claim").loc["C3", "ok"]
+    assert not T.claims_table(broken, infra).set_index("claim").loc["C3", "ok"]
 
 
 def test_flat_infra_fails_c8(tables):
-    runs, infra, parsel = tables
+    runs, infra = tables
     flat = infra.assign(time=infra.time.iloc[0])
-    assert not T.claims_table(runs, flat, parsel).set_index("claim").loc["C8", "ok"]
+    assert not T.claims_table(runs, flat).set_index("claim").loc["C8", "ok"]

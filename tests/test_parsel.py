@@ -35,16 +35,17 @@ PROFILES = {
     "B": _profile(comm_cost=50_000, cut=1_000),  # high comm, low cut
     "C": _profile(comm_cost=30_000, cut=5_000),
 }
+METRICS = {s: p.metrics for s, p in PROFILES.items()}
 
 
 class TestMetricRule:
     @pytest.mark.parametrize("algo", ["pr", "cc", "sssp"])
     def test_edge_bound_algos_pick_min_commcost(self, algo):
-        best, _ = select_partitioner(PROFILES, algo)
+        best, _ = select_partitioner(METRICS, algo)
         assert best == "A"
 
     def test_tr_picks_min_cut(self):
-        best, _ = select_partitioner(PROFILES, "tr")
+        best, _ = select_partitioner(METRICS, "tr")
         assert best == "B"
 
     def test_metric_rule_mapping(self):
@@ -56,11 +57,11 @@ class TestMetricRule:
         }
 
     def test_balance_breaks_ties(self):
-        profs = {
-            "flat": _profile(10_000, 1000, balance=1.0),
-            "skewed": _profile(10_000, 1000, balance=8.0),
+        metrics = {
+            "flat": _profile(10_000, 1000, balance=1.0).metrics,
+            "skewed": _profile(10_000, 1000, balance=8.0).metrics,
         }
-        best, _ = select_partitioner(profs, "pr")
+        best, _ = select_partitioner(metrics, "pr")
         assert best == "flat"
 
 

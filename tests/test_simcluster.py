@@ -1,4 +1,6 @@
 """Tests for the BSP cluster cost simulator."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,12 +109,12 @@ class TestGranularityMechanisms:
 class TestInfraConfigs:
     def test_faster_network_reduces_pr_time(self):
         base = ClusterSpec()
-        fast = base.with_infra(net_gbps=40.0)
+        fast = replace(base, net_gbps=40.0)
         assert simulate("pr", BAL, fast) < simulate("pr", BAL, base)
 
     def test_ssd_reduces_load_time(self):
-        fast = ClusterSpec().with_infra(net_gbps=40.0)
-        ssd = ClusterSpec().with_infra(net_gbps=40.0, ssd=True)
+        fast = replace(ClusterSpec(), net_gbps=40.0)
+        ssd = replace(ClusterSpec(), net_gbps=40.0, ssd=True)
         assert simulate("pr", BAL, ssd) < simulate("pr", BAL, fast)
 
     def test_config_parts_mapping(self):

@@ -6,7 +6,10 @@ disk cache redirected to a temp dir, and assert the paper's headline
 *shape* claims hold end-to-end. The full claims on the bench-tier grid
 are checked in ``test_claims.py``.
 """
-from dataclasses import fields
+import ast
+import io
+import tokenize
+from dataclasses import fields, replace
 
 import numpy as np
 import pandas as pd
@@ -14,7 +17,9 @@ import pytest
 
 import repro.experiments.tables as T
 from repro.core.correlate import METRIC_COLS
+from repro.core.parsel import METRIC_FOR_ALGO, select_partitioner
 from repro.metrics.partition_metrics import load_profile
+from repro.simcluster.cost_model import ClusterSpec, simulate
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -27,16 +32,32 @@ def _tmp_cache(tmp_path_factory):
 
 SMALL = ("pocek", "youtube")
 STRATS = ("RVC", "1D", "2D", "CRVC", "SC", "DC")
+PARTS = (16, 32)
 
 
 @pytest.fixture(scope="module")
-def runs_pr(spark):
-    return T.runtime_table(spark, "pr", tier="test", datasets=SMALL, parts=(16, 32))
+def runs(spark):
+    return {
+        algo: T.runtime_table(spark, algo, tier="test", datasets=SMALL, parts=PARTS)
+        for algo in ("pr", "cc", "tr", "sssp")
+    }
 
 
 @pytest.fixture(scope="module")
-def runs_tr(spark):
-    return T.runtime_table(spark, "tr", tier="test", datasets=SMALL, parts=(16, 32))
+def runs_pr(runs):
+    return runs["pr"]
+
+
+def _bump_first_number(src: str) -> str:
+    """``src`` with its first numeric literal token raised by one."""
+    tok = next(
+        t for t in tokenize.generate_tokens(io.StringIO(src).readline) if t.type == tokenize.NUMBER
+    )
+    lines = src.splitlines(keepends=True)
+    (row, start), (_, end) = tok.start, tok.end
+    line = lines[row - 1]
+    lines[row - 1] = line[:start] + repr(ast.literal_eval(tok.string) + 1) + line[end:]
+    return "".join(lines)
 
 
 class TestMetricsTable:
@@ -65,7 +86,7 @@ class TestMetricsTable:
             spark, tier="test", datasets=("youtube",), strategies=("2D",), parts=(16,),
             use_cache=False,
         )[("youtube", "2D", 16)]
-        loaded = load_profile(T._cache_path("youtube", "test", "2D", 16))
+        loaded = load_profile(T._cache_path(T._code_digest(), "youtube", "test", "2D", 16))
         assert loaded.metrics == fresh.metrics
         for f in fields(fresh.metrics):
             assert type(getattr(loaded.metrics, f.name)) is type(getattr(fresh.metrics, f.name))
@@ -76,16 +97,23 @@ class TestMetricsTable:
 
     @pytest.mark.parametrize("module", [p.name for p in T.KEYED_MODULES])
     def test_cache_key_covers_source(self, tmp_path, monkeypatch, module):
-        """Editing a keyed module's bytes moves every cache file."""
+        """A one-token code edit to a keyed module moves every cache file;
+        comment and docstring edits keep them."""
         key = ("pocek", "bench", "2D", 128)
-        before = T._cache_path(*key)
+        before = T._cache_path(T._code_digest(), *key)
         for path in T.KEYED_MODULES:
             (tmp_path / path.name).write_bytes(path.read_bytes())
         monkeypatch.setattr(T, "KEYED_MODULES", tuple(tmp_path / p.name for p in T.KEYED_MODULES))
-        assert T._cache_path(*key) == before  # the key reads bytes, not paths
+        assert T._cache_path(T._code_digest(), *key) == before  # content, not paths
         edited = tmp_path / module
-        edited.write_bytes(edited.read_bytes() + b"\n")
-        assert T._cache_path(*key) != before
+        src = edited.read_text()
+        edited.write_text("# a comment\n" + src + "\n# another comment\n")
+        assert T._cache_path(T._code_digest(), *key) == before
+        assert ast.get_docstring(ast.parse(src)) is not None
+        edited.write_text(src.replace('"""', '"""Reworded. ', 1))
+        assert T._cache_path(T._code_digest(), *key) == before
+        edited.write_text(_bump_first_number(src))
+        assert T._cache_path(T._code_digest(), *key) != before
 
 
 class TestRuntimeTables:
@@ -130,11 +158,22 @@ class TestRuntimeTables:
         assert set(g.dataset) == set(SMALL)
         assert {"time_coarse", "time_fine", "fine_speedup_pct"} <= set(g.columns)
 
+    @pytest.mark.parametrize("parts", [(16,), (16, 32, 64)])
+    def test_granularity_table_needs_two(self, parts):
+        runs = pd.DataFrame(
+            {"dataset": "pocek", "strategy": "2D", "n_parts": list(parts), "time": 1.0}
+        )
+        with pytest.raises(ValueError, match=", ".join(map(str, parts))):
+            T.granularity_table(runs)
+
 
 class TestInfraTable:
-    def test_deltas_negative_and_ordered(self, spark):
-        t = T.infra_table(spark, tier="test", dataset="pocek", strategy="2D")
-        t = t.set_index("config")
+    @pytest.fixture(scope="class")
+    def infra(self, spark):
+        return T.infra_table(spark, tier="test", dataset="pocek", strategy="2D")
+
+    def test_deltas_negative_and_ordered(self, infra):
+        t = infra.set_index("config")
         assert t.loc["ii (1Gbps, HDD)", "delta_vs_ii_pct"] == 0.0
         # paper ordering: (iv) < (iii) < (ii); compare raw times since
         # the rounded %-deltas can coincide at the tiny test tier
@@ -143,17 +182,59 @@ class TestInfraTable:
         t_iv = t.loc["iv (40Gbps, SSD)", "time"]
         assert t_iv < t_iii < t_ii
 
+    def test_times_are_simulated_configs(self, spark, infra):
+        """Each config's time is ``simulate`` on the cell's profile."""
+        prof = T.profile_grid(
+            spark, tier="test", datasets=("pocek",), strategies=("2D",), parts=(256,)
+        )[("pocek", "2D", 256)]
+        specs = [
+            ClusterSpec(),
+            replace(ClusterSpec(), net_gbps=40.0),
+            replace(ClusterSpec(), net_gbps=40.0, ssd=True),
+        ]
+        assert infra.time.tolist() == [simulate("pr", prof, spec, n_iter=10) for spec in specs]
+
 
 class TestParselTable:
-    def test_parsel_eval(self, spark):
-        t = T.parsel_table(
-            spark, tier="test", datasets=("pocek",), parts=(16,),
-            strategies=("RVC", "2D", "DC"),
-        )
+    def test_parsel_eval(self, runs):
+        # the cells of one dataset, one granularity and three strategies
+        small = {
+            a: r[(r.dataset == "pocek") & (r.n_parts == 16) & r.strategy.isin(["RVC", "2D", "DC"])]
+            for a, r in runs.items()
+        }
+        t = T.parsel_table(small)
         assert set(t.algo) == {"pr", "cc", "tr", "sssp"}
         assert (t.regret_pct >= 0).all()
         # the metric heuristic should be near-optimal for comm-bound algos
         assert t[t.algo == "pr"].regret_pct.max() < 25.0
+
+    def test_matches_brute_force(self, spark, runs):
+        """Picks, bests and regrets equal a per-cell selection over the
+        profiles plus one ``simulate`` per strategy."""
+        grid = T.profile_grid(spark, tier="test", datasets=SMALL, strategies=STRATS, parts=PARTS)
+        rows = []
+        for algo in runs:
+            for name in SMALL:
+                for n_parts in PARTS:
+                    profs = {s: grid[(name, s, n_parts)] for s in STRATS}
+                    pick, _ = select_partitioner({s: p.metrics for s, p in profs.items()}, algo)
+                    times = {
+                        s: simulate(algo, p, n_iter=10, diameter=T._sssp_diameter(name))
+                        for s, p in profs.items()
+                    }
+                    best = min(times, key=times.get)
+                    rows.append(
+                        dict(
+                            algo=algo,
+                            dataset=name,
+                            n_parts=n_parts,
+                            parsel_pick=pick,
+                            sim_best=best,
+                            regret_pct=round(100.0 * (times[pick] - times[best]) / times[best], 2),
+                            metric_used=METRIC_FOR_ALGO[algo],
+                        )
+                    )
+        pd.testing.assert_frame_equal(T.parsel_table(runs), pd.DataFrame(rows))
 
 
 class TestTable1:
