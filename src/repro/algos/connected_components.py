@@ -27,7 +27,8 @@ def connected_components(edges: DataFrame, *, max_iter: int = 100) -> PregelResu
     fixpoint at superstep 64). The simulator's ``0.6^t`` CC schedule
     does not model this; replaying measured traces is ROADMAP item 5.
     """
-    und = symmetrize(edges.select("src", "dst"))
+    # Materialized once, so no superstep re-runs symmetrize's dedup shuffle.
+    und = symmetrize(edges.select("src", "dst")).localCheckpoint(eager=True)
     init = vertices(und).select("id", F.col("id").alias("label"))
 
     def send(e: DataFrame) -> DataFrame:

@@ -14,25 +14,28 @@ import math
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.algos.connected_components import connected_components
 from repro.algos.sssp import sssp
-from repro.graph.builders import symmetrize
+from repro.graph.builders import symmetrize, vertices
 
 
-def eccentricity_sweep(und_edges: DataFrame, start: int, *, max_iter: int = 200):
-    """One BFS sweep: returns (farthest vertex, its distance)."""
-    res = sssp(und_edges, [start], max_iter=max_iter)
-    row = res.vertices.orderBy(F.desc("dist"), "id").first()
+def _farthest(reached: DataFrame) -> tuple[int, int]:
+    """The farthest reached vertex and its distance; ties go to the lowest id."""
+    row = reached.orderBy(F.desc("dist"), "id").first()
     return int(row["id"]), int(row["dist"])
 
 
 def diameter(edges: DataFrame, *, max_iter: int = 200) -> float:
-    """Double-sweep BFS diameter estimate; ``math.inf`` if disconnected."""
-    cc = connected_components(edges, max_iter=max_iter)
-    if cc.vertices.select("label").distinct().count() > 1:
+    """Double-sweep BFS diameter estimate; ``math.inf`` if disconnected.
+
+    The first sweep starts at the minimum id. The undirected view is
+    connected exactly when that sweep reaches every vertex, so no
+    separate connected-components run is needed.
+    """
+    und = symmetrize(edges.select("src", "dst")).localCheckpoint(eager=True)
+    row = vertices(und).agg(F.min("id").alias("start"), F.count(F.lit(1)).alias("n")).first()
+    first = sssp(und, [row["start"]], max_iter=max_iter).vertices
+    if first.count() < row["n"]:
         return math.inf
-    und = symmetrize(edges.select("src", "dst"))
-    start = int(und.select(F.min("src").alias("v")).first()["v"])
-    far, _ = eccentricity_sweep(und, start, max_iter=max_iter)
-    _, d = eccentricity_sweep(und, far, max_iter=max_iter)
+    far, _ = _farthest(first)
+    _, d = _farthest(sssp(und, [far], max_iter=max_iter).vertices)
     return float(d)

@@ -86,15 +86,16 @@ def parsel(
     profiled and the paper's metric rule picks the strategy — the cheap
     path. With ``mode='simulate'`` every (strategy, n_parts) pair is
     simulated and the joint argmin returned. Either way all candidates
-    are profiled together in one Spark job (``profile_cells``). Any
-    other ``mode`` raises ``ValueError`` before any Spark work.
+    are profiled together in one Spark job (``profile_cells``). Every
+    candidate reads ``edges``, so pass them materialized (e.g.
+    ``localCheckpoint``-ed). Any other ``mode`` raises ``ValueError``
+    before any Spark work.
     """
     if mode not in ("metric", "simulate"):
         raise ValueError(f"unknown mode {mode!r}")
-    cached = edges.select("src", "dst").localCheckpoint(eager=True)
     use_parts = parts_candidates if mode == "simulate" else parts_candidates[:1]
     profiles = profile_cells(
-        {(s, n): (partition_edges(cached, s, n), n) for n in use_parts for s in strategies}
+        {(s, n): (partition_edges(edges, s, n), n) for n in use_parts for s in strategies}
     )
     profiles_by_parts = {n: {s: profiles[(s, n)] for s in strategies} for n in use_parts}
     if mode == "metric":

@@ -23,6 +23,7 @@ import ast
 import hashlib
 import math
 import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ import numpy as np
 import pandas as pd
 import pyspark
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.algos.connected_components import num_components
 from repro.algos.diameter import diameter as graph_diameter
@@ -37,7 +39,7 @@ from repro.algos.triangles import triangle_count_total
 from repro.core.correlate import METRIC_COLS, metric_time_correlations
 from repro.core.parsel import METRIC_FOR_ALGO, select_partitioner
 from repro.graph import builders, partitioners
-from repro.graph.builders import degrees, symmetry_pct, vertices
+from repro.graph.builders import degrees, symmetry_pct
 from repro.graph.partitioners import PAPER_STRATEGIES, partition_edges
 from repro.graphgen import datasets as datasets_module
 from repro.graphgen import generators
@@ -104,17 +106,16 @@ def table1(spark: SparkSession, *, tier: str = "test", datasets=DATASET_ORDER) -
     rows = []
     for name in datasets:
         e = load(spark, name, tier).localCheckpoint(eager=True)
-        n_arcs = e.count()
-        nv = vertices(e).count()
+        n_arcs, nv, zero_in, zero_out = degrees(e).agg(
+            F.sum("out_deg"),
+            F.count(F.lit(1)),
+            F.count_if(F.col("in_deg") == 0),
+            F.count_if(F.col("out_deg") == 0),
+        ).first()
         symm = symmetry_pct(e)
-        deg = degrees(e)
-        zero_in = deg.filter("in_deg = 0").count()
-        zero_out = deg.filter("out_deg = 0").count()
         tri = triangle_count_total(e)
         ncomp = num_components(e, max_iter=500)
         diam = graph_diameter(e, max_iter=500)
-        import tempfile
-
         with tempfile.TemporaryDirectory() as td:
             out = os.path.join(td, "edges.parquet")
             e.write.mode("overwrite").parquet(out)

@@ -116,19 +116,18 @@ def _dbh(edges: DataFrame, n: int) -> DataFrame:
     return e.select("src", "dst", pid.alias("pid"))
 
 
-def _hyb(edges: DataFrame, n: int, threshold: float | None) -> DataFrame:
+def _hyb(edges: DataFrame, n: int) -> DataFrame:
     """Hybrid-Cut (PowerLyra, Chen et al. 2015).
 
     Edges pointing at a low in-degree destination are grouped by
     destination (1D-style on dst); edges into high in-degree
-    "superstar" destinations are spread by source hash. Default
-    threshold: 100 × average degree, per the PowerLyra evaluation.
+    "superstar" destinations are spread by source hash. The threshold
+    is 100 × average degree, per the PowerLyra evaluation.
     """
     d = degrees(edges).select("id", "in_deg")
-    if threshold is None:
-        row = edges.agg(F.count(F.lit(1)).alias("m")).first()
-        nv = d.count()
-        threshold = 100.0 * (row["m"] / max(1, nv))
+    m = F.coalesce(F.sum("in_deg"), F.lit(0)).alias("m")
+    row = d.agg(m, F.count(F.lit(1)).alias("nv")).first()
+    threshold = 100.0 * (row["m"] / max(1, row["nv"]))
     e = edges.join(
         d.select(F.col("id").alias("dst"), F.col("in_deg").alias("dst_in_deg")),
         "dst",
@@ -139,13 +138,7 @@ def _hyb(edges: DataFrame, n: int, threshold: float | None) -> DataFrame:
     return e.select("src", "dst", pid.alias("pid"))
 
 
-def partition_edges(
-    edges: DataFrame,
-    strategy: str,
-    n_parts: int,
-    *,
-    hyb_threshold: float | None = None,
-) -> DataFrame:
+def partition_edges(edges: DataFrame, strategy: str, n_parts: int) -> DataFrame:
     """Assign every edge a ``pid`` in ``[0, n_parts)`` under ``strategy``.
 
     Returns ``(src, dst, pid)``.
@@ -159,14 +152,6 @@ def partition_edges(
     if strategy == "DBH":
         return _dbh(edges, n_parts)
     if strategy == "HYB":
-        return _hyb(edges, n_parts, hyb_threshold)
+        return _hyb(edges, n_parts)
     raise ValueError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
 
-
-def place(edges_p: DataFrame, n_parts: int) -> DataFrame:
-    """Physically co-locate edges by ``pid`` (one RDD partition per pid).
-
-    Metrics only need the logical ``pid`` column; wall-clock runs call
-    this so Spark's shuffle actually sees the layout.
-    """
-    return edges_p.repartition(n_parts, F.col("pid"))

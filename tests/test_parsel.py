@@ -114,10 +114,10 @@ class TestEndToEnd:
         assert sel.scores[(sel.strategy, sel.n_parts)] == min(sel.scores.values())
 
     def test_parsel_profiles_in_one_job(self, spark, social_small_edges):
-        """Simulate mode runs two Spark jobs: the edge checkpoint and the
-        one collect that profiles every candidate. Adaptive execution
-        submits each shuffle stage as a job of its own, so it is off
-        here: then every job is one action."""
+        """Simulate mode runs one Spark job: the collect that profiles
+        every candidate. Adaptive execution submits each shuffle stage
+        as a job of its own, so it is off here: then every job is one
+        action."""
         sc = spark.sparkContext
         adaptive = spark.conf.get("spark.sql.adaptive.enabled")
         spark.conf.set("spark.sql.adaptive.enabled", "false")
@@ -131,4 +131,4 @@ class TestEndToEnd:
             sc.setLocalProperty("spark.jobGroup.id", None)
             spark.conf.set("spark.sql.adaptive.enabled", adaptive)
         assert len(sel.scores) == 6
-        assert len(sc.statusTracker().getJobIdsForGroup("parsel-jobs")) <= 2
+        assert len(sc.statusTracker().getJobIdsForGroup("parsel-jobs")) == 1

@@ -3,12 +3,12 @@ import math
 
 import pytest
 
+from repro.experiments.wallclock import prepare
 from repro.graph.builders import edges_from_pairs
 from repro.graph.partitioners import (
     PAPER_STRATEGIES,
     STRATEGIES,
     partition_edges,
-    place,
 )
 
 N_PARTS = 16
@@ -121,16 +121,18 @@ class TestColocationSemantics:
         assert df["pid"].nunique() == 1
 
     def test_hyb_low_in_degree_grouped_by_dst(self, spark):
-        # All in-degrees below threshold => identical to hashing dst.
+        # Threshold 100 × (50 arcs / 50 vertices) = 100; every in-degree
+        # is 1, so HYB is identical to hashing dst.
         e = edges_from_pairs(spark, [(i, (i + 1) % 50) for i in range(50)])
-        df = partition_edges(e, "HYB", 8, hyb_threshold=10).toPandas()
+        df = partition_edges(e, "HYB", 8).toPandas()
         assert df.groupby("dst")["pid"].nunique().max() == 1
 
     def test_hyb_superstar_spread_by_src(self, spark):
         # One superstar destination above threshold: its in-edges spread.
+        # Threshold 100 × (300 arcs / 201 vertices) ≈ 149 < the hub's 200.
         pairs = [(i, 999) for i in range(200)] + [(i, i + 1) for i in range(100)]
         e = edges_from_pairs(spark, pairs)
-        df = partition_edges(e, "HYB", 8, hyb_threshold=50).toPandas()
+        df = partition_edges(e, "HYB", 8).toPandas()
         star = df[df.dst == 999]
         assert star["pid"].nunique() > 1
 
@@ -158,11 +160,15 @@ class TestEdgeCases:
         df = partition_edges(er_edges, "2D", 12).toPandas()
         assert df["pid"].between(0, 11).all()
 
-    def test_place_materializes_by_pid(self, er_edges):
-        ep = partition_edges(er_edges, "RVC", 4)
-        placed = place(ep, 4)
-        assert placed.rdd.getNumPartitions() == 4
-        assert placed.count() == er_edges.count()
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_prepare_rows_equal_partition_edges(self, er_edges, strategy):
+        got = prepare(er_edges, strategy, 4).toPandas()
+        want = partition_edges(er_edges, strategy, 4).toPandas()
+        key = ["src", "dst", "pid"]
+        assert list(got.columns) == key
+        assert got.sort_values(key).reset_index(drop=True).equals(
+            want.sort_values(key).reset_index(drop=True)
+        )
 
     @pytest.mark.parametrize("strategy", PAPER_STRATEGIES)
     def test_more_parts_than_edges(self, spark, strategy):
