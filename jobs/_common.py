@@ -1,8 +1,8 @@
 """Shared SparkSession + output helpers for spark-submit jobs.
 
-Each ``jobs/*.py`` reproduces one paper table: it builds a pandas frame
-via ``repro.experiments.tables`` and prints it as markdown (and
-optionally writes CSV) so EXPERIMENTS.md rows can be pasted directly.
+Each ``jobs/*.py`` builds pandas frames via ``repro.experiments.tables``
+and prints them as markdown (and optionally writes CSV) so EXPERIMENTS.md
+rows can be pasted directly.
 """
 from __future__ import annotations
 

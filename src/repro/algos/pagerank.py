@@ -20,7 +20,7 @@ from repro.graph.pregel import PregelResult, run_pregel
 RESET_PROB = 0.15
 
 
-def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_PROB) -> PregelResult:
+def pagerank(edges: DataFrame, *, num_iter: int = 10) -> PregelResult:
     """Run static PageRank for ``num_iter`` supersteps.
 
     Returns vertex frame ``(id, rank, out_deg)``. Every vertex is active
@@ -37,7 +37,7 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_
         )
 
     def update(joined: DataFrame) -> DataFrame:
-        new_rank = F.lit(reset_prob) + F.lit(1.0 - reset_prob) * F.coalesce(
+        new_rank = F.lit(RESET_PROB) + F.lit(1.0 - RESET_PROB) * F.coalesce(
             F.col("msg"), F.lit(0.0)
         )
         return joined.select(
@@ -58,7 +58,7 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10, reset_prob: float = RESET_
     )
 
 
-def pagerank_reference(edge_list: list[tuple[int, int]], *, num_iter: int = 10, reset_prob: float = RESET_PROB) -> dict[int, float]:
+def pagerank_reference(edge_list: list[tuple[int, int]], *, num_iter: int = 10) -> dict[int, float]:
     """Pure-Python reference with identical semantics, for tests."""
     from collections import defaultdict
 
@@ -73,5 +73,5 @@ def pagerank_reference(edge_list: list[tuple[int, int]], *, num_iter: int = 10, 
         contrib: dict[int, float] = defaultdict(float)
         for s, d in edge_list:
             contrib[d] += rank[s] / out_deg[s]
-        rank = {v: reset_prob + (1 - reset_prob) * contrib.get(v, 0.0) for v in verts}
+        rank = {v: RESET_PROB + (1 - RESET_PROB) * contrib.get(v, 0.0) for v in verts}
     return rank

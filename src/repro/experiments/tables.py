@@ -9,13 +9,14 @@ metrics + per-partition loads for every (dataset, strategy, n_parts)
 cell. It is computed once with Spark and cached on disk (npz), because
 Tables 2/3 and every run table read the same grid.
 
-``runtime_table`` is the only builder that turns profiles into
-simulated times. The best-partitioner, correlation, granularity and
-PARSEL tables are pandas over run tables, and the infra table is one
-run table per cluster configuration. ``claims_table`` turns the run
-tables into the paper's claims, one row each with a pass/fail verdict;
-``jobs/calibrate_sim.py`` and ``tests/test_claims.py`` fail when a row
-does.
+``runtime_table`` is the one builder of run tables, the simulated
+times per (dataset, strategy, granularity). The best-partitioner,
+correlation, granularity and PARSEL tables are pandas over run tables,
+and the infra table is one run table per cluster configuration.
+``claims_table`` turns the run tables into the paper's claims, one row
+each with a pass/fail verdict; ``jobs/calibrate_sim.py`` (the §4 job,
+which builds the run tables once and prints every table) and
+``tests/test_claims.py`` fail when a row does.
 """
 from __future__ import annotations
 
@@ -172,7 +173,6 @@ def profile_grid(
     datasets=DATASET_ORDER,
     strategies=PAPER_STRATEGIES,
     parts=(128, 256),
-    use_cache: bool = True,
 ) -> dict[tuple[str, str, int], PartitionProfile]:
     """All profiles for the evaluation grid (cached across processes).
 
@@ -184,16 +184,15 @@ def profile_grid(
     for name in datasets:
         keys = [(name, s, n) for n in parts for s in strategies]
         paths = {k: _cache_path(digest, name, tier, k[1], k[2]) for k in keys}
-        found = {k: load_profile(paths[k]) for k in keys if use_cache and paths[k].exists()}
+        found = {k: load_profile(paths[k]) for k in keys if paths[k].exists()}
         missing = [k for k in keys if k not in found]
         if missing:
             edges = load(spark, name, tier).localCheckpoint(eager=True)
             found.update(
                 profile_cells({k: (partition_edges(edges, k[1], k[2]), k[2]) for k in missing})
             )
-            if use_cache:
-                for k in missing:
-                    save_profile(paths[k], found[k])
+            for k in missing:
+                save_profile(paths[k], found[k])
         grid.update((k, found[k]) for k in keys)
     return grid
 
@@ -246,10 +245,11 @@ def runtime_table(
 ) -> pd.DataFrame:
     """Tidy table: simulated time + metrics per (dataset, strategy, parts).
 
-    This is the data behind Figures 3–6 and all §4 prose claims, and the
-    only place a profile becomes a simulated time. ``datasets`` defaults
-    to those the paper runs ``algo`` on; ``spec`` is the simulated
-    cluster.
+    This is the data behind Figures 3–6 and all §4 prose claims; every
+    table of the §4 evaluation reads it. (PARSEL's own
+    ``select_granularity`` also simulates its candidates.) ``datasets``
+    defaults to those the paper runs ``algo`` on; ``spec`` is the
+    simulated cluster.
     """
     algo = algo.lower()
     datasets = _algo_datasets(algo, datasets)

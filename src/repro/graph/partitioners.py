@@ -10,7 +10,8 @@ two more are standard degree-aware vertex cuts from the literature
 All strategies are expressed as Catalyst column expressions —
 ``F.hash`` is Spark's Murmur3, playing the role of GraphX's
 mixing-prime hash — so partitioning is a single narrow projection.
-DBH/HYB additionally join a degree table.
+DBH/HYB additionally join a degree table. No strategy runs a Spark job
+before its result is read.
 
 ``partition_edges(edges, strategy, n_parts)`` is the single entry
 point; ``STRATEGIES`` lists the names in paper order.
@@ -125,15 +126,15 @@ def _hyb(edges: DataFrame, n: int) -> DataFrame:
     is 100 × average degree, per the PowerLyra evaluation.
     """
     d = degrees(edges).select("id", "in_deg")
-    m = F.coalesce(F.sum("in_deg"), F.lit(0)).alias("m")
-    row = d.agg(m, F.count(F.lit(1)).alias("nv")).first()
-    threshold = 100.0 * (row["m"] / max(1, row["nv"]))
+    # A scalar subquery, so the threshold is computed when the plan runs.
+    avg = F.coalesce(F.sum("in_deg"), F.lit(0)) / F.greatest(F.count(F.lit(1)), F.lit(1))
+    threshold = d.agg(100.0 * avg).scalar()
     e = edges.join(
         d.select(F.col("id").alias("dst"), F.col("in_deg").alias("dst_in_deg")),
         "dst",
     )
     pid = F.when(
-        F.col("dst_in_deg") <= F.lit(float(threshold)), _pmod(F.hash("dst"), n)
+        F.col("dst_in_deg") <= threshold, _pmod(F.hash("dst"), n)
     ).otherwise(_pmod(F.hash("src"), n))
     return e.select("src", "dst", pid.alias("pid"))
 

@@ -202,25 +202,3 @@ def generate_pandas(name: str, tier: str = "test") -> pd.DataFrame:
 def load(spark: SparkSession, name: str, tier: str = "test") -> DataFrame:
     """Generate a dataset and return its Spark edge DataFrame."""
     return edges_from_pandas(spark, generate_pandas(name, tier))
-
-
-def paper_table1() -> pd.DataFrame:
-    """The paper's Table 1 as a frame, for side-by-side EXPERIMENTS.md."""
-    rows = []
-    for name in DATASET_ORDER:
-        p = SPECS[name].paper
-        rows.append(
-            dict(
-                dataset=name,
-                vertices=p.vertices,
-                edges=p.edges,
-                symm_pct=p.symm_pct,
-                zero_in_pct=p.zero_in_pct,
-                zero_out_pct=p.zero_out_pct,
-                triangles=p.triangles,
-                components=p.components,
-                diameter=p.diameter,
-                size_bytes=p.size_bytes,
-            )
-        )
-    return pd.DataFrame(rows)

@@ -9,8 +9,8 @@ features the paper's analysis depends on:
   ids), which is what makes the SC/DC modulo partitioners interesting.
 - **social_graph** — Chung–Lu-style power-law sampler with knobs for
   edge symmetry, zero-in/zero-out "leaf" fractions (forest-fire
-  crawling artifacts), component count, superstar skew, and a
-  deterministic id shuffle (social ids carry no locality).
+  crawling artifacts), component count and superstar skew; ids are
+  shuffled by a fixed permutation (social ids carry no locality).
 
 Everything is numpy + pandas on the driver (graphs are generated at
 1/2000 or 1/200 of paper scale) and handed to Spark via
@@ -22,6 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+#: Cap on one vertex's sampling probability in ``social_graph``. It bounds
+#: the max degree so wedge-based triangle counting stays feasible at bench
+#: scale.
+MAX_WEIGHT_FRAC = 0.004
 
 
 def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +102,6 @@ def social_graph(
     n_components: int = 1,
     out_skew: float = 0.7,
     in_skew: float = 0.7,
-    max_weight_frac: float = 0.004,
-    shuffle_ids: bool = True,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Power-law social-graph stand-in (fast Chung–Lu arc sampler).
@@ -113,12 +116,11 @@ def social_graph(
       ``zero_out_frac`` never emit one (the paper's leaf vertices);
     - splits vertices into ``n_components`` blocks sampled
       independently (one giant + small ones);
-    - optionally shuffles ids with a fixed permutation (social ids
-      carry no locality, unlike road networks).
+    - shuffles ids with a fixed permutation (social ids carry no
+      locality, unlike road networks).
 
-    ``max_weight_frac`` caps a single vertex's sampling probability,
-    bounding the max degree so wedge-based triangle counting stays
-    feasible at bench scale.
+    A single vertex's sampling probability is capped at
+    ``MAX_WEIGHT_FRAC``.
     """
     if not 0.0 < symmetry <= 1.0:
         raise ValueError("symmetry must be in (0, 1]")
@@ -168,10 +170,8 @@ def social_graph(
             tail = pool.shape[0] - n_heavy
             w = np.concatenate([w_heavy, np.full(tail, w_heavy.min() * 0.5)])
             w /= w.sum()
-            cap = max_weight_frac
-            if cap < 1.0:
-                w = np.minimum(w, cap)
-                w /= w.sum()
+            w = np.minimum(w, MAX_WEIGHT_FRAC)
+            w /= w.sum()
             return w
 
         n_src_heavy = sz - n_zi - n_zo if (n_zi or n_zo) else sz
@@ -228,8 +228,7 @@ def social_graph(
         dst = np.concatenate([dst, rd])
         src, dst = _dedupe(src, dst)
 
-    if shuffle_ids:
-        perm = np.random.default_rng(seed + 104729).permutation(n).astype(np.int64)
-        src, dst = perm[src], perm[dst]
+    perm = np.random.default_rng(seed + 104729).permutation(n).astype(np.int64)
+    src, dst = perm[src], perm[dst]
 
     return pd.DataFrame({"src": src, "dst": dst}).astype("int64")

@@ -127,9 +127,10 @@ def activity_schedule(algo: str, *, n_iter: int = 10, diameter: int = 12) -> lis
 
 
 N_REGIONS = 32
+JITTER_SEED = 7
 
 
-def _jitter(n_parts: int, it: int, cv: float, seed: int = 7) -> np.ndarray:
+def _jitter(n_parts: int, it: int, cv: float) -> np.ndarray:
     """Deterministic per-(pid, iter) load multipliers, mean ~1, std ~cv.
 
     Models runtime load imbalance from *clustered* vertex activity:
@@ -145,7 +146,7 @@ def _jitter(n_parts: int, it: int, cv: float, seed: int = 7) -> np.ndarray:
     """
     if cv <= 0:
         return np.ones(n_parts)
-    g = np.random.default_rng(seed * 1_000_003 + it)
+    g = np.random.default_rng(JITTER_SEED * 1_000_003 + it)
     sigma = math.sqrt(math.log(1 + cv**2))
     h = np.maximum(
         0.05, g.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=N_REGIONS)

@@ -1,9 +1,9 @@
 """The paper's claims, enforced on the bench-tier grid.
 
-Builds the same tables as ``jobs/calibrate_sim.py`` through
-``profile_grid``'s on-disk cache (the first run on a checkout profiles
-the grid, a few minutes; later runs read it back) and asserts every row
-of ``claims_table``. The mutation cases show the check can fail: they
+Builds the same run and infra tables as ``jobs/calibrate_sim.py``, the
+§4 job, through ``profile_grid``'s on-disk cache (the first run on a
+checkout profiles the grid, about two minutes on 4 cores; later runs
+read it back) and asserts every row of ``claims_table``. The mutation cases show the check can fail: they
 break the loaded tables the way a wrong cost model would.
 """
 import pytest

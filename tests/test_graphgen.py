@@ -14,7 +14,6 @@ from repro.graphgen.datasets import (
     SPECS,
     TIER_DIVISOR,
     generate_pandas,
-    paper_table1,
 )
 from repro.graphgen.generators import grid_graph, social_graph
 
@@ -165,10 +164,15 @@ class TestSocialStructure:
         labels = cc_reference(list(zip(gen_cache["soclivejournal"].src, gen_cache["soclivejournal"].dst)))
         assert len(set(labels.values())) > 1
 
-    def test_shuffle_ids_changes_layout(self):
-        a = social_graph(200, 800, symmetry=1.0, shuffle_ids=True, seed=5)
-        b = social_graph(200, 800, symmetry=1.0, shuffle_ids=False, seed=5)
-        assert set(zip(a.src, a.dst)) != set(zip(b.src, b.dst))
+    def test_giant_component_ids_not_contiguous(self, gen_cache):
+        """Social ids carry no locality: unshuffled, the giant component
+        is exactly the ids 0 .. size - 1."""
+        from repro.algos.connected_components import cc_reference
+
+        pdf = gen_cache["soclivejournal"]
+        labels = pd.Series(cc_reference(list(zip(pdf.src, pdf.dst))))
+        giant = labels.index[labels == labels.value_counts().idxmax()]
+        assert giant.max() - giant.min() + 1 > len(giant)
 
     def test_invalid_symmetry_raises(self):
         with pytest.raises(ValueError):
@@ -180,8 +184,3 @@ class TestSocialStructure:
             return len(pdf) / nv
 
         assert density(gen_cache["orkut"]) > 5 * density(gen_cache["youtube"])
-
-    def test_paper_table1_complete(self):
-        t = paper_table1()
-        assert list(t.dataset) == list(DATASET_ORDER)
-        assert (t.vertices > 0).all() and (t.edges > 0).all()

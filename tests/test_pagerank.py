@@ -72,11 +72,3 @@ class TestSemantics:
         res = pagerank(e, num_iter=3)
         assert res.iterations == 3
         assert len(res.active_per_iter) == 3
-
-    def test_custom_reset_prob(self, spark):
-        pairs = [(0, 1), (1, 0)]
-        e = edges_from_pairs(spark, pairs)
-        got = {r["id"]: r["rank"] for r in pagerank(e, num_iter=5, reset_prob=0.5).vertices.collect()}
-        want = pagerank_reference(pairs, num_iter=5, reset_prob=0.5)
-        for v in want:
-            assert got[v] == pytest.approx(want[v], rel=1e-9)

@@ -170,6 +170,23 @@ class TestEdgeCases:
             want.sort_values(key).reset_index(drop=True)
         )
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_partition_edges_runs_no_job(self, spark, er_edges, strategy):
+        """Partitioning only builds a plan: the first job runs when a
+        result is read. Adaptive execution is off, as in
+        ``test_one_job_per_superstep``, so a job is an action."""
+        sc = spark.sparkContext
+        group = f"partition-edges-{strategy}"
+        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        sc.setJobGroup(group, "count the jobs of one partition_edges call")
+        try:
+            partition_edges(er_edges, strategy, N_PARTS)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
+
     @pytest.mark.parametrize("strategy", PAPER_STRATEGIES)
     def test_more_parts_than_edges(self, spark, strategy):
         e = edges_from_pairs(spark, [(1, 2), (3, 4)])

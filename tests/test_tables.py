@@ -77,16 +77,16 @@ class TestMetricsTable:
         assert (m.comm_cost_32 >= m.comm_cost_16).all()
         assert (m.comm_cost_32 <= 2 * m.comm_cost_16).all()
 
-    def test_cache_roundtrip(self, spark):
+    def test_cache_roundtrip(self, spark, tmp_path, monkeypatch):
         a = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
         b = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
         pd.testing.assert_frame_equal(a, b)
         # A profile read back from its cache file equals a fresh one, types too.
-        fresh = T.profile_grid(
-            spark, tier="test", datasets=("youtube",), strategies=("2D",), parts=(16,),
-            use_cache=False,
-        )[("youtube", "2D", 16)]
         loaded = load_profile(T._cache_path(T._code_digest(), "youtube", "test", "2D", 16))
+        monkeypatch.setattr(T, "CACHE_DIR", tmp_path)
+        fresh = T.profile_grid(
+            spark, tier="test", datasets=("youtube",), strategies=("2D",), parts=(16,)
+        )[("youtube", "2D", 16)]
         assert loaded.metrics == fresh.metrics
         for f in fields(fresh.metrics):
             assert type(getattr(loaded.metrics, f.name)) is type(getattr(fresh.metrics, f.name))
