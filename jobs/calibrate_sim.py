@@ -1,7 +1,8 @@
 """The paper's §4 job: every simulated table, PARSEL's evaluation and the claims.
 
-Builds the four algorithms' run tables and the infra table once (Spark
-profiles only the grid cells missing from the cache) and prints, per
+Loads the profile grid once (Spark profiles only the cells missing from
+the cache), stops Spark, builds the four algorithms' run tables and the
+infra table from the grid with pandas, and prints, per
 algorithm, the runtimes, best partitioners, metric correlations and
 granularity speedups (Figures 3–6); then the infra experiment, PARSEL's
 picks against the simulated best, and ``claims_table``, which documents
@@ -24,6 +25,7 @@ from repro.experiments.tables import (
     granularity_table,
     infra_table,
     parsel_table,
+    profile_grid,
     runtime_table,
 )
 
@@ -41,9 +43,10 @@ def main() -> None:
         return out and out / f"{name}.csv"
 
     spark = get_spark("calibrate_sim")
-    runs = {algo: runtime_table(spark, algo, tier=args.tier) for algo in ("pr", "cc", "tr", "sssp")}
-    infra = infra_table(spark, tier=args.tier)
+    grid = profile_grid(spark, tier=args.tier)
     spark.stop()
+    runs = {algo: runtime_table(grid, algo) for algo in ("pr", "cc", "tr", "sssp")}
+    infra = infra_table(grid)
 
     for algo, t in runs.items():
         name = algo.upper()

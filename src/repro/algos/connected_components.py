@@ -25,7 +25,7 @@ def connected_components(edges: DataFrame, *, max_iter: int = 100) -> PregelResu
     diameter graph most labels keep changing for many supersteps (test-
     tier roadnet-ca: over 85 % of them for the first 15 supersteps,
     fixpoint at superstep 64). The simulator's ``0.6^t`` CC schedule
-    does not model this; replaying measured traces is ROADMAP item 5.
+    does not model this; replaying measured traces is ROADMAP item 6.
     """
     # Materialized once, so no superstep re-runs symmetrize's dedup shuffle.
     und = symmetrize(edges.select("src", "dst")).localCheckpoint(eager=True)

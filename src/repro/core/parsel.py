@@ -63,7 +63,16 @@ def select_granularity(
     profiles_by_parts: dict[int, dict[str, PartitionProfile]], algo: str
 ) -> Selection:
     """Choose (strategy, n_parts) jointly by simulating every candidate
-    on the default cluster (``simulate``'s defaults)."""
+    on the default cluster (``simulate``'s defaults).
+
+    For SSSP that scores every graph on ``simulate``'s default wave of
+    12 rounds. The run tables PARSEL is evaluated against
+    (``experiments.tables.runtime_table``) size the wave from the
+    paper's diameter instead: 9–20 rounds on the six SSSP datasets,
+    never 12. So ``parsel(·, "sssp")`` ranks its candidates on a
+    different schedule than those tables; ROADMAP item 6 replaces the
+    wave with measured traces.
+    """
     scores: dict = {}
     for n_parts, profs in profiles_by_parts.items():
         for s, p in profs.items():

@@ -6,17 +6,19 @@ outputs next to the paper's numbers.
 
 The expensive shared artifact is the **profile grid** — partition
 metrics + per-partition loads for every (dataset, strategy, n_parts)
-cell. It is computed once with Spark and cached on disk (npz), because
-Tables 2/3 and every run table read the same grid.
+cell. ``profile_grid`` computes it with Spark and caches it on disk
+(npz); it and ``table1`` are the only builders that take a
+``SparkSession``. Tables 2/3 and every §4 table are pandas over the
+grid a job loads once.
 
 ``runtime_table`` is the one builder of run tables, the simulated
-times per (dataset, strategy, granularity). The best-partitioner,
-correlation, granularity and PARSEL tables are pandas over run tables,
-and the infra table is one run table per cluster configuration.
-``claims_table`` turns the run tables into the paper's claims, one row
-each with a pass/fail verdict; ``jobs/calibrate_sim.py`` (the §4 job,
-which builds the run tables once and prints every table) and
-``tests/test_claims.py`` fail when a row does.
+times per grid cell. The best-partitioner, correlation, granularity
+and PARSEL tables are pandas over run tables, and the infra table is
+one run table per cluster configuration. ``claims_table`` turns the
+run tables into the paper's claims, one row each with a pass/fail
+verdict; ``jobs/calibrate_sim.py`` (the §4 job, which loads the grid
+once and prints every table) and ``tests/test_claims.py`` fail when a
+row does.
 """
 from __future__ import annotations
 
@@ -75,16 +77,8 @@ CACHE_DIR = Path(
     or Path(__file__).resolve().parents[3] / ".cache" / "profiles"
 )
 
-
-def _algo_datasets(algo: str, datasets=None) -> tuple[str, ...]:
-    """``datasets``, by default every dataset the paper runs ``algo`` on.
-
-    SSSP excludes the road networks, as the paper does (Spark OOM on the
-    authors' cluster).
-    """
-    if datasets is not None:
-        return tuple(datasets)
-    return tuple(d for d in DATASET_ORDER if not (algo == "sssp" and d in SSSP_EXCLUDED))
+#: The profile grid: one profile per (dataset, strategy, n_parts) cell.
+Grid = dict[tuple[str, str, int], PartitionProfile]
 
 
 #: Effective BFS diameter handed to the SSSP activity schedule: the
@@ -173,14 +167,15 @@ def profile_grid(
     datasets=DATASET_ORDER,
     strategies=PAPER_STRATEGIES,
     parts=(128, 256),
-) -> dict[tuple[str, str, int], PartitionProfile]:
+) -> Grid:
     """All profiles for the evaluation grid (cached across processes).
 
-    The uncached cells of each dataset are profiled together in one
-    Spark job (``profile_cells``).
+    Cells are ordered by dataset, then granularity, then strategy. The
+    uncached cells of each dataset are profiled together in one Spark
+    job (``profile_cells``).
     """
     digest = _code_digest()
-    grid: dict[tuple[str, str, int], PartitionProfile] = {}
+    grid: Grid = {}
     for name in datasets:
         keys = [(name, s, n) for n in parts for s in strategies]
         paths = {k: _cache_path(digest, name, tier, k[1], k[2]) for k in keys}
@@ -200,82 +195,60 @@ def profile_grid(
 # ------------------------------------------------------------ Tables 2/3
 
 
-def metrics_table(
-    spark: SparkSession,
-    n_parts: int,
-    *,
-    tier: str = "bench",
-    datasets=DATASET_ORDER,
-    strategies=PAPER_STRATEGIES,
-) -> pd.DataFrame:
-    """Paper Table 2 (128 partitions) / Table 3 (256): metrics grid."""
-    grid = profile_grid(
-        spark, tier=tier, datasets=datasets, strategies=strategies, parts=(n_parts,)
-    )
+def metrics_table(grid: Grid, n_parts: int) -> pd.DataFrame:
+    """Paper Table 2 (128 partitions) / Table 3 (256): the metrics of the
+    ``grid`` cells at ``n_parts``, in the grid's order."""
     rows = []
-    for name in datasets:
-        for s in strategies:
-            m = grid[(name, s, n_parts)].metrics
-            rows.append(
-                dict(
-                    dataset=name,
-                    partitioner=s,
-                    balance=round(m.balance, 2),
-                    non_cut=m.non_cut,
-                    cut=m.cut,
-                    comm_cost=m.comm_cost,
-                    part_stdev=round(m.part_stdev, 2),
-                )
+    for (name, s, n), prof in grid.items():
+        if n != n_parts:
+            continue
+        m = prof.metrics
+        rows.append(
+            dict(
+                dataset=name,
+                partitioner=s,
+                balance=round(m.balance, 2),
+                non_cut=m.non_cut,
+                cut=m.cut,
+                comm_cost=m.comm_cost,
+                part_stdev=round(m.part_stdev, 2),
             )
+        )
     return pd.DataFrame(rows)
 
 
 # ------------------------------------- §4 runtime-derived tables (Figs 3–6)
 
 
-def runtime_table(
-    spark: SparkSession,
-    algo: str,
-    *,
-    tier: str = "bench",
-    datasets=None,
-    strategies=PAPER_STRATEGIES,
-    parts=(128, 256),
-    spec: ClusterSpec = ClusterSpec(),
-) -> pd.DataFrame:
-    """Tidy table: simulated time + metrics per (dataset, strategy, parts).
+def runtime_table(grid: Grid, algo: str, *, spec: ClusterSpec = ClusterSpec()) -> pd.DataFrame:
+    """Tidy table: simulated time + metrics per ``grid`` cell.
 
-    This is the data behind Figures 3–6 and all §4 prose claims; every
-    table of the §4 evaluation reads it. (PARSEL's own
-    ``select_granularity`` also simulates its candidates.) ``datasets``
-    defaults to those the paper runs ``algo`` on; ``spec`` is the
-    simulated cluster.
+    One row per (dataset, strategy, n_parts) cell, in the grid's order;
+    for SSSP the road networks are skipped, as the paper does (Spark OOM
+    on the authors' cluster). This is the data behind Figures 3–6 and
+    all §4 prose claims; every table of the §4 evaluation reads it.
+    (PARSEL's own ``select_granularity`` also simulates its candidates.)
+    ``spec`` is the simulated cluster.
     """
     algo = algo.lower()
-    datasets = _algo_datasets(algo, datasets)
-    grid = profile_grid(spark, tier=tier, datasets=datasets, strategies=strategies, parts=parts)
     rows = []
-    for name in datasets:
-        for n_parts in parts:
-            for s in strategies:
-                prof = grid[(name, s, n_parts)]
-                t = simulate(
-                    algo, prof, spec, n_iter=10, diameter=_sssp_diameter(name)
-                )
-                m = prof.metrics
-                rows.append(
-                    dict(
-                        dataset=name,
-                        strategy=s,
-                        n_parts=n_parts,
-                        time=t,
-                        balance=m.balance,
-                        non_cut=m.non_cut,
-                        cut=m.cut,
-                        comm_cost=m.comm_cost,
-                        part_stdev=m.part_stdev,
-                    )
-                )
+    for (name, s, n_parts), prof in grid.items():
+        if algo == "sssp" and name in SSSP_EXCLUDED:
+            continue
+        m = prof.metrics
+        rows.append(
+            dict(
+                dataset=name,
+                strategy=s,
+                n_parts=n_parts,
+                time=simulate(algo, prof, spec, diameter=_sssp_diameter(name)),
+                balance=m.balance,
+                non_cut=m.non_cut,
+                cut=m.cut,
+                comm_cost=m.comm_cost,
+                part_stdev=m.part_stdev,
+            )
+        )
     return pd.DataFrame(rows)
 
 
@@ -320,29 +293,23 @@ def granularity_table(runs: pd.DataFrame) -> pd.DataFrame:
 # ----------------------------------------------------- infra experiment
 
 
-def infra_table(
-    spark: SparkSession,
-    *,
-    tier: str = "bench",
-    dataset: str = "follow-dec",
-    strategy: str = "2D",
-) -> pd.DataFrame:
-    """PR on follow-dec under the paper's infra configs (ii)/(iii)/(iv).
+def infra_table(grid: Grid) -> pd.DataFrame:
+    """PR on follow-dec (2D) under the paper's infra configs (ii)/(iii)/(iv).
 
     (ii) 1 Gbps + HDD, (iii) 40 Gbps + HDD, (iv) 40 Gbps + local SSD;
     all at 256 partitions. The paper reports −15 % and −20 % vs (ii).
-    Each config's time is one cell of a ``runtime_table``.
+    Each config's time is a one-cell ``runtime_table`` of the ``grid``
+    cell ``("follow-dec", "2D", 256)``.
     """
+    key = ("follow-dec", "2D", CONFIG_PARTS["ii"])
+    cell = {key: grid[key]}
     configs = {
         "ii (1Gbps, HDD)": ClusterSpec(),
         "iii (40Gbps, HDD)": replace(ClusterSpec(), net_gbps=40.0),
         "iv (40Gbps, SSD)": replace(ClusterSpec(), net_gbps=40.0, ssd=True),
     }
     times = {
-        cname: runtime_table(
-            spark, "pr", tier=tier, datasets=(dataset,), strategies=(strategy,),
-            parts=(CONFIG_PARTS["ii"],), spec=cspec,
-        )["time"].item()
+        cname: runtime_table(cell, "pr", spec=cspec)["time"].item()
         for cname, cspec in configs.items()
     }
     t_ref = times["ii (1Gbps, HDD)"]

@@ -105,7 +105,7 @@ def activity_schedule(algo: str, *, n_iter: int = 10, diameter: int = 12) -> lis
       roadnet-ca over 85 % of labels change for the first 15
       supersteps and the fixpoint comes at superstep 64. The claims
       C1–C8 are calibrated on this schedule; replacing it with
-      measured traces is ROADMAP item 5.
+      measured traces is ROADMAP item 6.
     - ``sssp``: BFS frontier wave over ``diameter`` rounds — ramps up,
       peaks, drains.
     - ``tr``: a single heavy round (handled specially in compute).

@@ -1,10 +1,12 @@
 """The paper's claims, enforced on the bench-tier grid.
 
-Builds the same run and infra tables as ``jobs/calibrate_sim.py``, the
-§4 job, through ``profile_grid``'s on-disk cache (the first run on a
-checkout profiles the grid, about two minutes on 4 cores; later runs
-read it back) and asserts every row of ``claims_table``. The mutation cases show the check can fail: they
-break the loaded tables the way a wrong cost model would.
+Loads the bench-tier profile grid once, as ``jobs/calibrate_sim.py``,
+the §4 job, does, through ``profile_grid``'s on-disk cache (the first
+run on a checkout profiles the grid, about two minutes on 4 cores;
+later runs read it back). It builds the same run and infra tables from
+that grid with pandas and asserts every row of ``claims_table``. The
+mutation cases show the check can fail: they break the loaded tables
+the way a wrong cost model would.
 """
 import pytest
 
@@ -15,8 +17,9 @@ CLAIMS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "P1", "P2", "T1", "T2"
 
 @pytest.fixture(scope="module")
 def tables(spark):
-    runs = {algo: T.runtime_table(spark, algo, tier="bench") for algo in ("pr", "cc", "tr", "sssp")}
-    return runs, T.infra_table(spark, tier="bench")
+    grid = T.profile_grid(spark, tier="bench")
+    runs = {algo: T.runtime_table(grid, algo) for algo in ("pr", "cc", "tr", "sssp")}
+    return runs, T.infra_table(grid)
 
 
 @pytest.fixture(scope="module")

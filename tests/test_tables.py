@@ -19,7 +19,7 @@ import repro.experiments.tables as T
 from repro.core.correlate import METRIC_COLS
 from repro.core.parsel import METRIC_FOR_ALGO, select_partitioner
 from repro.metrics.partition_metrics import load_profile
-from repro.simcluster.cost_model import ClusterSpec, simulate
+from repro.simcluster.cost_model import CONFIG_PARTS, ClusterSpec, simulate
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -36,11 +36,13 @@ PARTS = (16, 32)
 
 
 @pytest.fixture(scope="module")
-def runs(spark):
-    return {
-        algo: T.runtime_table(spark, algo, tier="test", datasets=SMALL, parts=PARTS)
-        for algo in ("pr", "cc", "tr", "sssp")
-    }
+def grid(spark):
+    return T.profile_grid(spark, tier="test", datasets=SMALL, strategies=STRATS, parts=PARTS)
+
+
+@pytest.fixture(scope="module")
+def runs(grid):
+    return {algo: T.runtime_table(grid, algo) for algo in ("pr", "cc", "tr", "sssp")}
 
 
 @pytest.fixture(scope="module")
@@ -61,26 +63,27 @@ def _bump_first_number(src: str) -> str:
 
 
 class TestMetricsTable:
-    def test_schema_and_rows(self, spark):
-        t = T.metrics_table(spark, 16, tier="test", datasets=SMALL)
+    def test_schema_and_rows(self, grid):
+        t = T.metrics_table(grid, 16)
         assert list(t.columns) == [
             "dataset", "partitioner", "balance", "non_cut", "cut", "comm_cost", "part_stdev",
         ]
         assert len(t) == len(SMALL) * len(STRATS)
 
-    def test_finer_partitioning_raises_commcost(self, spark):
+    def test_finer_partitioning_raises_commcost(self, grid):
         """Paper, Appendix A: 256-partition CommCost exceeds 128's but is
         'significantly lower than double'."""
-        c16 = T.metrics_table(spark, 16, tier="test", datasets=("pocek",))
-        c32 = T.metrics_table(spark, 32, tier="test", datasets=("pocek",))
+        c16, c32 = (T.metrics_table(grid, n).query("dataset == 'pocek'") for n in PARTS)
         m = c16.merge(c32, on=["dataset", "partitioner"], suffixes=("_16", "_32"))
         assert (m.comm_cost_32 >= m.comm_cost_16).all()
         assert (m.comm_cost_32 <= 2 * m.comm_cost_16).all()
 
     def test_cache_roundtrip(self, spark, tmp_path, monkeypatch):
-        a = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
-        b = T.metrics_table(spark, 16, tier="test", datasets=("youtube",))
-        pd.testing.assert_frame_equal(a, b)
+        # Two reads of the grid; the second comes from the cache files.
+        reads = [
+            T.profile_grid(spark, tier="test", datasets=("youtube",), parts=(16,)) for _ in range(2)
+        ]
+        pd.testing.assert_frame_equal(*(T.metrics_table(g, 16) for g in reads))
         # A profile read back from its cache file equals a fresh one, types too.
         loaded = load_profile(T._cache_path(T._code_digest(), "youtube", "test", "2D", 16))
         monkeypatch.setattr(T, "CACHE_DIR", tmp_path)
@@ -122,12 +125,13 @@ class TestRuntimeTables:
         assert len(runs_pr) == len(SMALL) * len(STRATS) * 2
         assert (runs_pr.time > 0).all()
 
-    def test_sssp_excludes_roadnets(self, spark):
-        runs = T.runtime_table(
-            spark, "sssp", tier="test", datasets=None, parts=(16,),
-            strategies=("RVC",),
-        )
+    def test_sssp_excludes_roadnets(self, grid):
+        # One fixture profile under each road network's key and pocek's.
+        prof = grid[("pocek", "RVC", 16)]
+        cells = {(d, "RVC", 16): prof for d in ("roadnet-pa", "roadnet-tx", "roadnet-ca", "pocek")}
+        runs = T.runtime_table(cells, "sssp")
         assert not (set(runs.dataset) & {"roadnet-pa", "roadnet-tx", "roadnet-ca"})
+        assert runs.dataset.tolist() == ["pocek"]
 
     def test_best_partitioner_table(self, runs_pr):
         best = T.best_partitioner_table(runs_pr)
@@ -169,8 +173,17 @@ class TestRuntimeTables:
 
 class TestInfraTable:
     @pytest.fixture(scope="class")
-    def infra(self, spark):
-        return T.infra_table(spark, tier="test", dataset="pocek", strategy="2D")
+    def prof(self, spark):
+        n = CONFIG_PARTS["ii"]
+        grid = T.profile_grid(
+            spark, tier="test", datasets=("pocek",), strategies=("2D",), parts=(n,)
+        )
+        return grid[("pocek", "2D", n)]
+
+    @pytest.fixture(scope="class")
+    def infra(self, prof):
+        # pocek's profile stands in for the follow-dec cell the table reads.
+        return T.infra_table({("follow-dec", "2D", CONFIG_PARTS["ii"]): prof})
 
     def test_deltas_negative_and_ordered(self, infra):
         t = infra.set_index("config")
@@ -182,11 +195,8 @@ class TestInfraTable:
         t_iv = t.loc["iv (40Gbps, SSD)", "time"]
         assert t_iv < t_iii < t_ii
 
-    def test_times_are_simulated_configs(self, spark, infra):
+    def test_times_are_simulated_configs(self, prof, infra):
         """Each config's time is ``simulate`` on the cell's profile."""
-        prof = T.profile_grid(
-            spark, tier="test", datasets=("pocek",), strategies=("2D",), parts=(256,)
-        )[("pocek", "2D", 256)]
         specs = [
             ClusterSpec(),
             replace(ClusterSpec(), net_gbps=40.0),
@@ -208,10 +218,9 @@ class TestParselTable:
         # the metric heuristic should be near-optimal for comm-bound algos
         assert t[t.algo == "pr"].regret_pct.max() < 25.0
 
-    def test_matches_brute_force(self, spark, runs):
+    def test_matches_brute_force(self, grid, runs):
         """Picks, bests and regrets equal a per-cell selection over the
         profiles plus one ``simulate`` per strategy."""
-        grid = T.profile_grid(spark, tier="test", datasets=SMALL, strategies=STRATS, parts=PARTS)
         rows = []
         for algo in runs:
             for name in SMALL:
