@@ -24,18 +24,23 @@ def _farthest(reached: DataFrame) -> tuple[int, int]:
     return int(row["id"]), int(row["dist"])
 
 
-def diameter(edges: DataFrame, *, max_iter: int = 200) -> float:
+#: Superstep cap of each BFS sweep, far above Table 1's diameters.
+MAX_ITER = 500
+
+
+def diameter(edges: DataFrame) -> float:
     """Double-sweep BFS diameter estimate; ``math.inf`` if disconnected.
 
     The first sweep starts at the minimum id. The undirected view is
     connected exactly when that sweep reaches every vertex, so no
-    separate connected-components run is needed.
+    separate connected-components run is needed. Each sweep is capped
+    at ``MAX_ITER`` supersteps.
     """
     und = symmetrize(edges.select("src", "dst")).localCheckpoint(eager=True)
     row = vertices(und).agg(F.min("id").alias("start"), F.count(F.lit(1)).alias("n")).first()
-    first = sssp(und, [row["start"]], max_iter=max_iter).vertices
+    first = sssp(und, [row["start"]], max_iter=MAX_ITER).vertices
     if first.count() < row["n"]:
         return math.inf
     far, _ = _farthest(first)
-    _, d = _farthest(sssp(und, [far], max_iter=max_iter).vertices)
+    _, d = _farthest(sssp(und, [far], max_iter=MAX_ITER).vertices)
     return float(d)

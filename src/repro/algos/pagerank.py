@@ -26,7 +26,7 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10) -> PregelResult:
     Returns vertex frame ``(id, rank, out_deg)``. Every vertex is active
     every round (PR never converges early within a static iteration
     budget — the paper calls it communication-bound for exactly this
-    reason), so changes are not counted: ``active_per_iter`` is all -1.
+    reason), so ``active_per_iter`` is the vertex count per superstep.
     """
     init = degrees(edges).select("id", F.lit(1.0).alias("rank"), "out_deg")
 
@@ -54,7 +54,6 @@ def pagerank(edges: DataFrame, *, num_iter: int = 10) -> PregelResult:
         F.sum("msg"),
         update,
         max_iter=num_iter,
-        check_convergence=False,
     )
 
 

@@ -28,7 +28,8 @@ inside Catalyst — no Python row UDFs):
 
 Active-set rule (GraphX's ``activeDirection = Out``): every state row
 sends in the first superstep; after that only the rows whose ``update``
-returned ``changed = true`` send.
+returned ``changed = true`` send. The run ends after the first
+superstep in which no row changed, or after ``max_iter``.
 """
 from __future__ import annotations
 
@@ -45,8 +46,7 @@ class PregelResult:
 
     ``active_per_iter[i]`` is the number of state rows that changed in
     superstep ``i + 1`` (the rows that send in the next superstep),
-    observed on that superstep's checkpoint job, or -1 when the run did
-    not count them (``check_convergence=False``).
+    observed on that superstep's checkpoint job.
     perfbench sums SSSP's trace as ``sssp.frontier_rows``.
     """
 
@@ -72,14 +72,11 @@ def run_pregel(
     update: Callable[[DataFrame], DataFrame],
     *,
     max_iter: int,
-    check_convergence: bool = True,
 ) -> PregelResult:
     """Run BSP supersteps until no row changes or ``max_iter``.
 
     Each superstep is one Spark action, the ``localCheckpoint`` of the
-    new state; with ``check_convergence`` an ``observe`` on that job
-    counts the changed rows. ``check_convergence=False`` skips the
-    count, so the run always takes ``max_iter`` supersteps.
+    new state; an ``observe`` on that job counts the changed rows.
     """
     state = vertices.localCheckpoint(eager=True)
     active = state
@@ -89,14 +86,15 @@ def run_pregel(
         out = send(_attach_src(edges, active))
         key = [c for c in out.columns if c != "msg"]
         msgs = out.groupBy(*key).agg(agg_expr.alias("msg"))
-        new_state = update(state.join(msgs, key, "full_outer"))
-        if check_convergence:
-            changed = Observation()
-            new_state = new_state.observe(changed, F.count_if("changed").alias("n"))
-        new_state = new_state.localCheckpoint(eager=True)
+        changed = Observation()
+        new_state = (
+            update(state.join(msgs, key, "full_outer"))
+            .observe(changed, F.count_if("changed").alias("n"))
+            .localCheckpoint(eager=True)
+        )
         state = new_state.drop("changed")
         active = new_state.filter(F.col("changed")).drop("changed")
-        trace.append(changed.get["n"] if check_convergence else -1)
+        trace.append(changed.get["n"])
         if trace[-1] == 0:
             break
     return PregelResult(vertices=state, iterations=it, active_per_iter=trace)

@@ -19,9 +19,10 @@ three mechanisms the paper uses to explain its results:
 3. **Overheads** — per-task scheduling cost (what makes 256 partitions
    *slower* than 128 for communication-bound PageRank) and a one-off
    input scan charged at storage bandwidth (the HDD/SSD infra
-   experiment).
+   experiment; HDD is the unit, an SSD scans ``ssd_bw`` times faster).
 
-Activity schedules: PR is all-active for 10 rounds; CC decays
+Activity schedules: PR and CC run ``N_ITER`` = 10 supersteps, as
+the paper times them. PR is all-active in each; CC decays
 geometrically (the paper: most labels converge after a few rounds; the
 engine's trace on the synthetic road grids does not, see
 ``activity_schedule``); SSSP is a frontier wave. When only a fraction
@@ -72,8 +73,7 @@ class ClusterSpec:
     t_reduce: float = 600.0  # per cut vertex per TR reduction round
     t_task: float = 900.0  # per task scheduling overhead per superstep
     t_shuf: float = 0.3  # per shuffle fetch segment (O(parts²)) per superstep
-    hdd_bw: float = 1.0  # relative input-scan bandwidth (HDD)
-    ssd_bw: float = 3.0  # relative input-scan bandwidth (SSD)
+    ssd_bw: float = 3.0  # input-scan bandwidth of SSD, relative to HDD
     t_io: float = 1.2  # per input edge at HDD bandwidth
 
     @property
@@ -95,26 +95,31 @@ def profile_from_spark(edges_p, n_parts: int, metrics: PartitionMetrics | None =
     return prof if metrics is None else replace(prof, metrics=metrics)
 
 
-def activity_schedule(algo: str, *, n_iter: int = 10, diameter: int = 12) -> list[float]:
+#: Supersteps of PR and CC, as the paper times its iterative algorithms.
+N_ITER = 10
+
+
+def activity_schedule(algo: str, *, diameter: int = 12) -> list[float]:
     """Fraction of vertices active per superstep, per algorithm.
 
-    - ``pr``: static PageRank — every vertex recomputes every round.
-    - ``cc``: label propagation — geometric decay ``0.6^t``, after the
-      paper's "the values of most vertices converge very fast". The
-      engine's measured trace does not always decay so: on test-tier
-      roadnet-ca over 85 % of labels change for the first 15
-      supersteps and the fixpoint comes at superstep 64. The claims
-      C1–C8 are calibrated on this schedule; replacing it with
-      measured traces is ROADMAP item 6.
+    - ``pr``: static PageRank — every vertex recomputes in each of
+      ``N_ITER`` rounds.
+    - ``cc``: label propagation — geometric decay ``0.6^t`` over
+      ``N_ITER`` rounds, after the paper's "the values of most vertices
+      converge very fast". The engine's measured trace does not always
+      decay so: on test-tier roadnet-ca over 85 % of labels change for
+      the first 15 supersteps and the fixpoint comes at superstep 64.
+      The claims C1–C8 are calibrated on this schedule; replacing it
+      with measured traces is ROADMAP item 6.
     - ``sssp``: BFS frontier wave over ``diameter`` rounds — ramps up,
       peaks, drains.
     - ``tr``: a single heavy round (handled specially in compute).
     """
     algo = algo.lower()
     if algo == "pr":
-        return [1.0] * n_iter
+        return [1.0] * N_ITER
     if algo == "cc":
-        return [max(0.6**t, 1e-4) for t in range(n_iter)]
+        return [max(0.6**t, 1e-4) for t in range(N_ITER)]
     if algo == "sssp":
         mid = diameter / 2.0
         width = max(diameter / 4.0, 1.0)
@@ -178,15 +183,17 @@ def simulate(
     prof: PartitionProfile,
     spec: ClusterSpec = ClusterSpec(),
     *,
-    n_iter: int = 10,
     diameter: int = 12,
-    activity: list[float] | None = None,
 ) -> float:
-    """Simulated job time for ``algo`` on one partitioning (arbitrary units)."""
+    """Simulated job time for ``algo`` on one partitioning (arbitrary units).
+
+    The supersteps follow ``activity_schedule``: ``N_ITER`` for PR and
+    CC, ``diameter`` for SSSP's wave, one for TR.
+    """
     algo = algo.lower()
-    sched = activity if activity is not None else activity_schedule(algo, n_iter=n_iter, diameter=diameter)
+    sched = activity_schedule(algo, diameter=diameter)
     mets = prof.metrics
-    io_bw = spec.ssd_bw if spec.ssd else spec.hdd_bw
+    io_bw = spec.ssd_bw if spec.ssd else 1.0
     time = (mets.n_edges / spec.n_executors) * spec.t_io / io_bw
 
     if algo == "tr":

@@ -2,25 +2,31 @@
 import pandas as pd
 import pytest
 
-from repro.core.correlate import metric_time_correlations, pearson
+from repro.core.correlate import metric_time_correlations
+
+
+def _r(xs, ys) -> float:
+    """Pearson r of one metric column against ``time``."""
+    runs = pd.DataFrame({"comm_cost": xs, "time": ys})
+    return metric_time_correlations(runs)["comm_cost"]
 
 
 class TestPearson:
     def test_perfect_positive(self):
-        assert pearson([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+        assert _r([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
 
     def test_perfect_negative(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert _r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
 
     def test_uncorrelated_constant(self):
-        assert pearson([1, 1, 1], [1, 2, 3]) == 0.0
+        assert _r([1, 1, 1], [1, 2, 3]) == 0.0
 
     def test_degenerate_short(self):
-        assert pearson([1], [2]) == 0.0
+        assert _r([1], [2]) == 0.0
 
     def test_known_value(self):
         # hand-computed: r of (1,2,3,4) vs (2,1,4,3) = 0.6
-        assert pearson([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
+        assert _r([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
 
 
 class TestTableCorrelations:

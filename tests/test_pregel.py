@@ -6,7 +6,7 @@ from repro.graph.builders import edges_from_pairs, vertices
 from repro.graph.pregel import run_pregel
 
 
-def _min_propagation(edges_df, max_iter=20, check=True):
+def _min_propagation(edges_df, max_iter=20):
     """Min-label propagation along arcs — tiny CC building block."""
     init = vertices(edges_df).select("id", F.col("id").alias("label"))
 
@@ -19,10 +19,7 @@ def _min_propagation(edges_df, max_iter=20, check=True):
             "id", new.alias("label"), (new < F.col("label")).alias("changed")
         )
 
-    return run_pregel(
-        init, edges_df, send, F.min("msg"), update,
-        max_iter=max_iter, check_convergence=check,
-    )
+    return run_pregel(init, edges_df, send, F.min("msg"), update, max_iter=max_iter)
 
 
 class TestConvergence:
@@ -53,11 +50,6 @@ class TestConvergence:
         res = _min_propagation(e)
         assert res.active_per_iter[0] >= res.active_per_iter[-2]
 
-    def test_no_convergence_mode_runs_exact_iters(self, spark):
-        e = edges_from_pairs(spark, [(1, 2), (2, 1)])
-        res = _min_propagation(e, max_iter=5, check=False)
-        assert res.iterations == 5
-
 
 class TestStateHandling:
     def test_isolated_from_messages_keeps_state(self, spark):
@@ -69,9 +61,11 @@ class TestStateHandling:
         assert labels[1] == 1 and labels[2] == 1
 
     def test_only_changed_rows_send(self, spark):
-        # every row sends in superstep 1; a row whose update reports no
-        # change sends nothing after that, so summed in-arcs are added
-        # once, not once per superstep
+        # every row sends in superstep 1; after that only vertex 0, the
+        # one row whose update reports a change, sends. Vertex 1 adds its
+        # 3 in-arcs once and then vertex 0's arc once per superstep (it
+        # would read 9 if unchanged rows sent again); vertex 2 adds its
+        # 2 in-arcs once
         pairs = [(5, 1), (4, 1), (0, 1), (1, 2), (5, 2)]
         e = edges_from_pairs(spark, pairs)
         init = vertices(e).select("id", F.lit(0).alias("val"))
@@ -83,24 +77,23 @@ class TestStateHandling:
             return joined.select(
                 "id",
                 (F.col("val") + F.coalesce(F.col("msg"), F.lit(0))).alias("val"),
-                F.lit(False).alias("changed"),
+                (F.col("id") == 0).alias("changed"),
             )
 
-        res = run_pregel(
-            init, e, send, F.sum("msg"), update, max_iter=3, check_convergence=False,
-        )
+        res = run_pregel(init, e, send, F.sum("msg"), update, max_iter=3)
         vals = {r["id"]: r["val"] for r in res.vertices.collect()}
-        assert vals == {0: 0, 1: 3, 2: 2, 4: 0, 5: 0}  # in-degrees
+        assert vals == {0: 0, 1: 5, 2: 2, 4: 0, 5: 0}
         assert res.iterations == 3
+        assert res.active_per_iter == [1, 1, 1]
 
 
 class TestJobs:
     def test_one_job_per_superstep(self, spark):
-        """With convergence checks, a run submits the initial checkpoint
-        plus one checkpoint job per superstep; the changed rows are
-        counted on that job, not by a job of their own. Adaptive
-        execution submits every shuffle stage as a job of its own, so it
-        is off here: then every job is one action."""
+        """A run submits the initial checkpoint plus one checkpoint job
+        per superstep; the changed rows are counted on that job, not by
+        a job of their own. Adaptive execution submits every shuffle
+        stage as a job of its own, so it is off here: then every job is
+        one action."""
         e = edges_from_pairs(spark, [(i, i + 1) for i in range(5)])
         sc = spark.sparkContext
         adaptive = spark.conf.get("spark.sql.adaptive.enabled")

@@ -7,6 +7,7 @@ import pytest
 from repro.metrics.partition_metrics import PartitionMetrics
 from repro.simcluster.cost_model import (
     CONFIG_PARTS,
+    N_ITER,
     ClusterSpec,
     PartitionProfile,
     activity_schedule,
@@ -43,10 +44,12 @@ IMBAL = _profile([1000.0] * 127 + [40000.0])
 
 class TestSchedules:
     def test_pr_all_active(self):
-        assert activity_schedule("pr", n_iter=10) == [1.0] * 10
+        assert N_ITER == 10  # the paper's supersteps
+        assert activity_schedule("pr") == [1.0] * N_ITER
 
     def test_cc_decays(self):
-        s = activity_schedule("cc", n_iter=10)
+        s = activity_schedule("cc")
+        assert len(s) == N_ITER
         assert s[0] == 1.0 and all(a > b for a, b in zip(s, s[1:]))
 
     def test_sssp_wave(self):
@@ -130,11 +133,11 @@ class TestExecutorPacking:
     def test_single_partition_bound_by_task(self):
         p = _profile([10_000.0], n_parts=1, n_local=[0.0])
         spec = ClusterSpec(t_task=0.0, t_io=0.0, t_msg_cpu=0.0, t_msg_net=0.0, t_shuf=0.0)
-        t = simulate("pr", p, spec, n_iter=1)
-        assert t == pytest.approx(10_000.0)
+        t = simulate("pr", p, spec)
+        assert t == pytest.approx(10 * 10_000.0)
 
     def test_parallel_partitions_divide_work(self):
         spec = ClusterSpec(t_task=0.0, t_io=0.0, t_msg_cpu=0.0, t_msg_net=0.0, t_shuf=0.0)
         one = _profile([128_000.0], n_parts=1)
         many = _profile([1000.0] * 128)
-        assert simulate("pr", many, spec, n_iter=1) < simulate("pr", one, spec, n_iter=1)
+        assert simulate("pr", many, spec) < simulate("pr", one, spec)

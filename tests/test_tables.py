@@ -8,6 +8,7 @@ are checked in ``test_claims.py``.
 """
 import ast
 import io
+import math
 import tokenize
 from dataclasses import fields, replace
 
@@ -202,7 +203,7 @@ class TestInfraTable:
             replace(ClusterSpec(), net_gbps=40.0),
             replace(ClusterSpec(), net_gbps=40.0, ssd=True),
         ]
-        assert infra.time.tolist() == [simulate("pr", prof, spec, n_iter=10) for spec in specs]
+        assert infra.time.tolist() == [simulate("pr", prof, spec) for spec in specs]
 
 
 class TestParselTable:
@@ -228,7 +229,7 @@ class TestParselTable:
                     profs = {s: grid[(name, s, n_parts)] for s in STRATS}
                     pick, _ = select_partitioner({s: p.metrics for s, p in profs.items()}, algo)
                     times = {
-                        s: simulate(algo, p, n_iter=10, diameter=T._sssp_diameter(name))
+                        s: simulate(algo, p, diameter=T._sssp_diameter(name))
                         for s, p in profs.items()
                     }
                     best = min(times, key=times.get)
@@ -257,3 +258,14 @@ class TestTable1:
         assert np.isfinite(row.diameter)
         assert row.size_bytes > 0
         assert row.triangles > 0  # social graph has closed wedges
+
+    def test_disconnected_skips_diameter(self, spark, islands_edges, monkeypatch):
+        # three components: the diameter is ∞ without a BFS sweep
+        def no_sweep(edges):
+            raise AssertionError("diameter swept a disconnected graph")
+
+        monkeypatch.setattr(T, "load", lambda spark, name, tier: islands_edges)
+        monkeypatch.setattr(T, "graph_diameter", no_sweep)
+        row = T.table1(spark, tier="test", datasets=("youtube",)).iloc[0]
+        assert row.components == 3
+        assert row.diameter == math.inf
